@@ -102,8 +102,8 @@ func TestResultsCancelledBeforeStart(t *testing.T) {
 	if ran != 0 {
 		t.Errorf("%d cells simulated under a context cancelled before the call", ran)
 	}
-	if got := r.CachedCells(); got != 0 {
-		t.Errorf("CachedCells = %d after a fully cancelled batch, want 0", got)
+	if got := r.SimulatedCells(); got != 0 {
+		t.Errorf("SimulatedCells = %d after a fully cancelled batch, want 0", got)
 	}
 }
 
@@ -142,7 +142,7 @@ func TestResultErrorStaysCached(t *testing.T) {
 			t.Fatal("unknown scheduler accepted")
 		}
 	}
-	if got := r.CachedCells(); got != 1 {
-		t.Errorf("CachedCells = %d, want the failed cell cached once", got)
+	if got := r.SimulatedCells(); got != 1 {
+		t.Errorf("SimulatedCells = %d, want the failed cell cached once", got)
 	}
 }

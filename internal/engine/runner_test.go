@@ -101,8 +101,8 @@ func TestRunnerCacheDedupes(t *testing.T) {
 	if ran != want {
 		t.Errorf("ran %d simulations, want %d (cache failed to dedupe)", ran, want)
 	}
-	if got := r.CachedCells(); got != want {
-		t.Errorf("CachedCells = %d, want %d", got, want)
+	if got := r.SimulatedCells(); got != want {
+		t.Errorf("SimulatedCells = %d, want %d", got, want)
 	}
 }
 

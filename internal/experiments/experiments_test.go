@@ -184,7 +184,7 @@ func TestFullPipelineQuick(t *testing.T) {
 	if _, err := r.Results(context.Background(), cells); err != nil {
 		t.Fatal(err)
 	}
-	warmed := r.CachedCells()
+	warmed := r.SimulatedCells()
 	// 4 schedulers × capacities {16, 64}; the fig15 cells coincide with
 	// the 64-GPU sweep column.
 	if want := 4 * len(r.Params().Capacities); warmed != want {
@@ -206,8 +206,8 @@ func TestFullPipelineQuick(t *testing.T) {
 	if !strings.Contains(f17, "GPUs") || !strings.Contains(f18, "1.00") {
 		t.Errorf("scalability outputs malformed:\n%s\n%s", f17, f18)
 	}
-	if r.CachedCells() != warmed {
-		t.Errorf("rendering ran %d extra cells past the prewarm", r.CachedCells()-warmed)
+	if r.SimulatedCells() != warmed {
+		t.Errorf("rendering ran %d extra cells past the prewarm", r.SimulatedCells()-warmed)
 	}
 }
 

@@ -31,7 +31,7 @@ const (
 // Progress is one streamed progress event. Fields beyond Kind are
 // populated where meaningful: cell events carry the cell coordinates
 // (and, on completion, live metrics); experiment events carry the
-// experiment name; Done/Total count executed cells against the batch
+// experiment name; Done/Total count resolved cells against the batch
 // plan.
 type Progress struct {
 	Kind ProgressKind
@@ -53,9 +53,10 @@ type Progress struct {
 	// live view a dashboard renders while the batch is still running.
 	Result *Result
 
-	// Done counts cells executed so far; Total the cells the current
-	// batch planned (0 when unknown). Cached cells count as done
-	// immediately, so Done can jump.
+	// Done counts planned cells resolved so far — simulated, or served
+	// from a cache (memory, disk, or another caller's computation);
+	// Total the cells the current batch planned (0 when unknown). Cache
+	// hits emit no cell events, so Done can advance between them.
 	Done, Total int
 }
 

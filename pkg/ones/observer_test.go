@@ -171,3 +171,64 @@ func TestMultiObserverFansOut(t *testing.T) {
 		t.Errorf("fan-out uneven: %d vs %d events", len(a.events), len(b.events))
 	}
 }
+
+// TestObserverCountsCacheServedCells: a run served entirely by a shared
+// cache — from another session's memo or from disk — emits no cell
+// events and simulates nothing, yet its closing run-done reports the
+// batch complete.
+func TestObserverCountsCacheServedCells(t *testing.T) {
+	quiet := func(string, ...any) {}
+	for _, tc := range []struct {
+		name string
+		// warm returns the cache the observed session uses after a cold
+		// session has already computed the run.
+		warm func(t *testing.T) *Cache
+	}{
+		{"shared-memory", func(t *testing.T) *Cache {
+			c, err := NewCache("", quiet)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cacheSession(t, c).Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}},
+		{"disk", func(t *testing.T) *Cache {
+			dir := t.TempDir()
+			cold, err := NewCache(dir, quiet)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cacheSession(t, cold).Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			c, err := NewCache(dir, quiet)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := &recorder{}
+			s := cacheSession(t, tc.warm(t), WithObserver(rec))
+			if _, err := s.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if got := s.SimulatedCells(); got != 0 {
+				t.Errorf("SimulatedCells = %d for a cache-served run, want 0", got)
+			}
+			got := rec.byKind()
+			if n := len(got[KindCellStart]) + len(got[KindCellDone]); n != 0 {
+				t.Errorf("cache-served run emitted %d cell events, want 0", n)
+			}
+			if len(got[KindRunDone]) != 1 {
+				t.Fatalf("run-done events = %d, want 1", len(got[KindRunDone]))
+			}
+			if last := got[KindRunDone][0]; last.Done != 1 || last.Total != 1 {
+				t.Errorf("cache-served run-done progress = %d/%d, want 1/1", last.Done, last.Total)
+			}
+		})
+	}
+}

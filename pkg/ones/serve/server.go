@@ -45,10 +45,10 @@ func WithMetrics(m *ones.Metrics) Option {
 // field opts one protection in independently.
 type Config struct {
 	// MaxRuns caps the run table: when a new run would push it past the
-	// cap, the oldest FINISHED runs are evicted first (evicted runs 404;
-	// in-flight runs are never evicted, so the table can transiently
-	// exceed the cap under a burst of live work — that is what the
-	// breaker is for). 0 ⇒ unbounded.
+	// cap, the least recently FINISHED runs are evicted first (evicted
+	// runs 404; in-flight runs are never evicted, so the table can
+	// transiently exceed the cap under a burst of live work — that is
+	// what the breaker is for). 0 ⇒ unbounded.
 	MaxRuns int
 	// RunTTL evicts finished runs this long after they finish. 0 ⇒
 	// finished runs are kept until MaxRuns pressure (or forever).
@@ -190,9 +190,9 @@ const (
 // Lock discipline (the order is Server.mu → run.mu, and hub.mu is a
 // leaf): run.mu guards only the terminal-status fields; event history
 // and subscriptions live behind hub.mu. Nothing acquires Server.mu
-// while holding run.mu, and finish sets the terminal status before
-// closing the hub so a subscriber waking on the closed channel always
-// observes finished == true.
+// while holding run.mu, and the run goroutine sets the terminal status
+// (finish) before closing the hub so a subscriber waking on the closed
+// channel always observes finished == true.
 type run struct {
 	ID      string
 	Spec    RunSpec
@@ -200,12 +200,11 @@ type run struct {
 	cancel  context.CancelFunc
 	hub     *hub
 
-	mu         sync.Mutex
-	status     string
-	result     *ones.Result
-	errMsg     string
-	finished   bool
-	finishedAt time.Time // run-table TTL eviction anchor
+	mu       sync.Mutex
+	status   string
+	result   *ones.Result
+	errMsg   string
+	finished bool
 }
 
 func newRun(id string, spec RunSpec, cancel context.CancelFunc, created time.Time, h *hub) *run {
@@ -223,10 +222,10 @@ func newRun(id string, spec RunSpec, cancel context.CancelFunc, created time.Tim
 // one non-blocking send per subscriber.
 func (r *run) Observe(p ones.Progress) { r.hub.broadcast(p) }
 
-// finish records the terminal state, then closes the hub so every
-// stream client drains its buffer and sees the terminal status.
+// finish records the terminal state; the caller then closes the hub so
+// every stream client drains its buffer and sees the terminal status.
 // wasCancelled separates a client cancellation from a genuine failure.
-func (r *run) finish(res *ones.Result, err error, wasCancelled bool, at time.Time) {
+func (r *run) finish(res *ones.Result, err error, wasCancelled bool) {
 	r.mu.Lock()
 	switch {
 	case err == nil:
@@ -240,9 +239,7 @@ func (r *run) finish(res *ones.Result, err error, wasCancelled bool, at time.Tim
 		r.errMsg = err.Error()
 	}
 	r.finished = true
-	r.finishedAt = at
 	r.mu.Unlock()
-	r.hub.close()
 }
 
 // snapshot returns the run's status fields under one lock acquisition.
@@ -252,25 +249,6 @@ func (r *run) snapshot() (status string, res *ones.Result, errMsg string, done, 
 	r.mu.Unlock()
 	done, total = r.hub.latest()
 	return status, res, errMsg, done, total
-}
-
-// expired reports whether the run is finished and its TTL has lapsed.
-// Called with Server.mu held; the brief run.mu acquisition inside
-// respects the Server.mu → run.mu lock order.
-func (r *run) expired(ttl time.Duration, now time.Time) bool {
-	if ttl <= 0 {
-		return false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.finished && now.Sub(r.finishedAt) >= ttl
-}
-
-// isFinished reports whether the run has reached a terminal state.
-func (r *run) isFinished() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.finished
 }
 
 // Server owns the run table, the shared cache and the lifecycle context
@@ -303,13 +281,20 @@ type Server struct {
 	base context.Context
 	stop context.CancelFunc
 
-	mu     sync.Mutex
-	runs   map[string]*run
-	order  []string // creation order, for stable listings
-	seq    int
-	closed bool
+	mu       sync.Mutex
+	runs     map[string]*run
+	order    []string      // creation order, for stable listings
+	finished []finishedRun // finish order: the eviction queue
+	seq      int
+	closed   bool
 
 	wg sync.WaitGroup
+}
+
+// finishedRun is one entry of the run table's eviction queue.
+type finishedRun struct {
+	id string
+	at time.Time // TTL anchor
 }
 
 // New builds a Server over a shared cache (nil ⇒ runs are independent:
@@ -441,7 +426,13 @@ func (s *Server) start(spec RunSpec) (*run, error) {
 		defer cancel()
 		res, err := sess.Run(traceCtx)
 		endTrace()
-		r.finish(res, err, runCtx.Err() != nil, s.now())
+		// The terminal status and the eviction-queue entry land under one
+		// Server.mu hold, so no sweep sees a finished run it cannot evict.
+		s.mu.Lock()
+		r.finish(res, err, runCtx.Err() != nil)
+		s.finished = append(s.finished, finishedRun{id: id, at: s.now()})
+		s.mu.Unlock()
+		r.hub.close()
 		if err != nil && runCtx.Err() == nil {
 			s.log.Printf("serve: %s failed: %v", id, err)
 		}
@@ -449,40 +440,34 @@ func (s *Server) start(spec RunSpec) (*run, error) {
 	return r, nil
 }
 
-// sweepRunsLocked applies the run-table bounds under Server.mu: finished
-// runs past their TTL go first, then — while the table exceeds MaxRuns —
-// the oldest finished runs. In-flight runs are NEVER evicted (cancelling
-// live work to make room would turn a burst into data loss), so the
-// table can transiently exceed the cap while every excess run is still
-// executing; the admission breaker is the backstop for that regime.
+// sweepRunsLocked applies the run-table bounds under Server.mu, always
+// evicting the least recently finished run: first those past their TTL,
+// then — while the table exceeds MaxRuns — the next in finish order.
+// In-flight runs are NEVER evicted (cancelling live work to make room
+// would turn a burst into data loss), so the table can transiently
+// exceed the cap while every excess run is still executing; the
+// admission breaker is the backstop for that regime.
 func (s *Server) sweepRunsLocked() {
-	now := s.now()
 	if ttl := s.cfg.RunTTL; ttl > 0 {
-		// Snapshot the ids: dropRunLocked rewrites s.order in place.
-		ids := append([]string(nil), s.order...)
-		for _, id := range ids {
-			if r, ok := s.runs[id]; ok && r.expired(ttl, now) {
-				s.dropRunLocked(id, "ttl")
-			}
+		now := s.now()
+		for len(s.finished) > 0 && now.Sub(s.finished[0].at) >= ttl {
+			s.evictOldestLocked("ttl")
 		}
 	}
-	if max := s.cfg.MaxRuns; max > 0 && len(s.runs) > max {
-		ids := append([]string(nil), s.order...)
-		for _, id := range ids { // creation order: oldest finished first
-			if len(s.runs) <= max {
-				break
-			}
-			if r, ok := s.runs[id]; ok && r.isFinished() {
-				s.dropRunLocked(id, "cap")
-			}
+	if max := s.cfg.MaxRuns; max > 0 {
+		for len(s.runs) > max && len(s.finished) > 0 {
+			s.evictOldestLocked("cap")
 		}
 	}
 }
 
-// dropRunLocked removes one run from the table (Server.mu held) and
-// counts the eviction. Streams already attached keep their run pointer
-// and finish their replay undisturbed; new lookups 404.
-func (s *Server) dropRunLocked(id, reason string) {
+// evictOldestLocked removes the least recently finished run from the
+// table (Server.mu held) and counts the eviction. Streams already
+// attached keep their run pointer and finish their replay undisturbed;
+// new lookups 404.
+func (s *Server) evictOldestLocked(reason string) {
+	id := s.finished[0].id
+	s.finished = s.finished[1:]
 	delete(s.runs, id)
 	for i, oid := range s.order {
 		if oid == id {

@@ -284,6 +284,29 @@ func TestRunTableEvictionPreservesInFlight(t *testing.T) {
 	waitStatus(t, ts.URL, slow.ID, StatusCancelled, 10*time.Second)
 }
 
+// TestRunTableEvictsInFinishOrder: cap pressure evicts the run that
+// finished longest ago, not the one created first — a long run created
+// early stays addressable right after it finishes.
+func TestRunTableEvictsInFinishOrder(t *testing.T) {
+	srv, _, ts := newHardenedServer(t, "", Config{MaxRuns: 2}, nil)
+	defer func() {
+		srv.Shutdown(context.Background())
+		ts.Close()
+	}()
+
+	slow := createRun(t, ts.URL, slowSpec())
+	q1 := createRun(t, ts.URL, quickSpec())
+	waitStatus(t, ts.URL, q1.ID, StatusDone, 30*time.Second)
+	doJSON(t, "DELETE", ts.URL+"/v1/runs/"+slow.ID, nil, http.StatusAccepted)
+	waitStatus(t, ts.URL, slow.ID, StatusCancelled, 10*time.Second)
+
+	createRun(t, ts.URL, quickSpec()) // pushes the table past the cap
+	if got := getRun(t, ts.URL, slow.ID); got.Status != StatusCancelled {
+		t.Errorf("most recently finished run = %q, want retained", got.Status)
+	}
+	doJSON(t, "GET", ts.URL+"/v1/runs/"+q1.ID, nil, http.StatusNotFound)
+}
+
 // TestRunTTLEviction drives the finished-run TTL with an injected clock:
 // a done run stays addressable within its TTL and 404s (counted as a
 // runtable/ttl eviction) once the clock passes it.

@@ -86,7 +86,7 @@ func New(opts ...Option) (*Session, error) {
 		runner:     engine.NewRunner(p),
 	}
 	if st.cache != nil {
-		s.runner.Persist = st.cache.impl
+		s.runner.Cache = st.cache.impl
 	}
 	if st.metrics != nil {
 		s.runner.Obs = st.metrics.reg
@@ -100,11 +100,10 @@ func New(opts ...Option) (*Session, error) {
 			s.emit(s.cellProgress(KindCellStart, cell, 0, nil))
 		}
 		s.runner.OnCell = func(cell engine.Cell, res *simulator.Result, elapsed time.Duration) {
-			s.progress.Lock()
-			s.progress.done++
-			s.progress.Unlock()
+			s.credit()
 			s.emit(s.cellProgress(KindCellDone, cell, elapsed, newResult(cell, s.params, res)))
 		}
+		s.runner.OnCellHit = func(engine.Cell) { s.credit() }
 	}
 	return s, nil
 }
@@ -115,9 +114,10 @@ func (s *Session) Workers() int { return s.runner.Workers() }
 // Seed returns the session's master RNG seed.
 func (s *Session) Seed() int64 { return s.params.Seed }
 
-// SimulatedCells reports how many distinct simulation cells the
-// session's cache holds.
-func (s *Session) SimulatedCells() int { return s.runner.CachedCells() }
+// SimulatedCells reports how many simulation cells the session has
+// simulated itself. Cells served from a cache — the session's own memo,
+// a shared Cache or its disk — do not count, nor do cancelled cells.
+func (s *Session) SimulatedCells() int { return s.runner.SimulatedCells() }
 
 func (s *Session) emit(p Progress) {
 	if s.obs != nil {
@@ -132,14 +132,23 @@ func (s *Session) counts() (done, total int) {
 	return s.progress.done, s.progress.total
 }
 
-// beginBatch grows the planned-cell total, credits cells the cache
-// already holds (they never surface as cell events, so Done jumps for
-// them immediately), and emits run-start.
+// credit counts one planned cell as done when it resolves, simulated or
+// served from a cache (cache hits surface no cell events, so this is the
+// only trace they leave). Lookups beyond the planned total — experiments
+// rendering from the warm cache after their prewarm batch — are not
+// planned cells and do not count.
+func (s *Session) credit() {
+	s.progress.Lock()
+	if s.progress.done < s.progress.total {
+		s.progress.done++
+	}
+	s.progress.Unlock()
+}
+
+// beginBatch grows the planned-cell total and emits run-start.
 func (s *Session) beginBatch(cells []engine.Cell) {
-	cached := s.runner.CachedOf(cells)
 	s.progress.Lock()
 	s.progress.total += len(cells)
-	s.progress.done += cached
 	s.progress.Unlock()
 	done, total := s.counts()
 	s.emit(Progress{Kind: KindRunStart, Done: done, Total: total})
