@@ -24,7 +24,7 @@ import (
 // runner.
 func runExperiment(b *testing.B, name string) string {
 	b.Helper()
-	e, ok := engine.LookupExperiment(name)
+	e, ok := engine.Experiments.Lookup(name)
 	if !ok {
 		b.Fatalf("experiment %q not registered", name)
 	}

@@ -52,6 +52,21 @@ import (
 	"repro/pkg/ones/serve"
 )
 
+// newHTTPServer builds the daemon's HTTP server. The header and idle
+// timeouts reap stalled connections: a client that never finishes its
+// request headers would otherwise hold a goroutine and a file descriptor
+// forever, unseen by bearer auth and the rate limiter, which only run
+// once the headers are parsed. WriteTimeout stays zero: an NDJSON run
+// stream is open as long as its run, and a write deadline would cut it.
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+}
+
 func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
@@ -112,7 +127,7 @@ func main() {
 		handler = outer
 		logger.Printf("profiling enabled under /debug/pprof/")
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
+	httpSrv := newHTTPServer(*addr, handler)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

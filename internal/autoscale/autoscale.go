@@ -2,11 +2,9 @@ package autoscale
 
 import (
 	"errors"
-	"fmt"
-	"sort"
-	"sync"
 
 	"repro/internal/obs"
+	"repro/internal/registry"
 	"repro/internal/scenario"
 )
 
@@ -45,62 +43,12 @@ const (
 	ReactiveEmergency = "reactive-emergency"
 )
 
-var (
-	registryMu sync.RWMutex
-	registry   = make(map[string]Policy)
-)
+// Policies holds the registered controller policies by name.
+var Policies = registry.New[Policy]("autoscale", ErrUnknown)
 
-// Register adds a named policy. Re-registering a name panics: two
+// Register adds a named policy. An empty or duplicate name panics: two
 // controllers silently shadowing each other would corrupt experiments.
-func Register(p Policy) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if p.Name == "" {
-		panic("autoscale: Register with empty name")
-	}
-	if _, dup := registry[p.Name]; dup {
-		panic(fmt.Sprintf("autoscale: duplicate registration of %q — two controller tunings would silently shadow each other; pick a distinct name", p.Name))
-	}
-	registry[p.Name] = p
-}
-
-// Lookup returns the named policy.
-func Lookup(name string) (Policy, bool) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	p, ok := registry[name]
-	return p, ok
-}
-
-// Get returns the named policy or an error listing the known names.
-func Get(name string) (Policy, error) {
-	if p, ok := Lookup(name); ok {
-		return p, nil
-	}
-	return Policy{}, fmt.Errorf("%w %q (known: %v)", ErrUnknown, name, Names())
-}
-
-// Names returns the registered policy names, sorted.
-func Names() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Policies returns every registered policy sorted by name.
-func Policies() []Policy {
-	out := make([]Policy, 0)
-	for _, n := range Names() {
-		p, _ := Lookup(n)
-		out = append(out, p)
-	}
-	return out
-}
+func Register(p Policy) { Policies.Register(p.Name, p) }
 
 // ctlObs bundles a controller's instrument handles. An uninstrumented
 // controller holds a nil *ctlObs and pays exactly one nil check per

@@ -195,7 +195,7 @@ func TestScalerWholeRackDrain(t *testing.T) {
 
 func TestRegistryBuiltinsAndErrors(t *testing.T) {
 	for _, name := range []string{ReactiveConservative, ReactiveAggressive, ReactiveEmergency} {
-		p, err := Get(name)
+		p, err := Policies.Get(name)
 		if err != nil {
 			t.Fatalf("built-in %q missing: %v", name, err)
 		}
@@ -203,15 +203,15 @@ func TestRegistryBuiltinsAndErrors(t *testing.T) {
 			t.Errorf("built-in %q under-specified: %+v", name, p)
 		}
 	}
-	if _, err := Get("bogus"); !errors.Is(err, ErrUnknown) {
-		t.Errorf("Get(bogus) = %v, want ErrUnknown", err)
+	if _, err := Policies.Get("bogus"); !errors.Is(err, ErrUnknown) {
+		t.Errorf("Policies.Get(bogus) = %v, want ErrUnknown", err)
 	}
-	names := Names()
+	names := Policies.Names()
 	if len(names) < 3 {
-		t.Errorf("Names() = %v", names)
+		t.Errorf("Policies.Names() = %v", names)
 	}
-	if got := Policies(); len(got) != len(names) {
-		t.Errorf("Policies() returned %d entries for %d names", len(got), len(names))
+	if got := Policies.All(); len(got) != len(names) {
+		t.Errorf("Policies.All() returned %d entries for %d names", len(got), len(names))
 	}
 }
 
@@ -252,7 +252,7 @@ func TestControllerIsACapacitySource(t *testing.T) {
 
 func mustGet(t *testing.T, name string) Policy {
 	t.Helper()
-	p, err := Get(name)
+	p, err := Policies.Get(name)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,12 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
-	"sync"
+
+	"repro/internal/registry"
 )
 
-// ErrUnknownExperiment is wrapped by GetExperiment for names absent from
-// the registry; match it with errors.Is.
+// ErrUnknownExperiment is wrapped by Experiments.Get for names absent
+// from the registry; match it with errors.Is.
 var ErrUnknownExperiment = errors.New("engine: unknown experiment")
 
 // Experiment is one named, self-describing figure or table of the paper's
@@ -28,61 +28,18 @@ type Experiment struct {
 	Run func(ctx context.Context, r *Runner) (string, error)
 }
 
-var (
-	expMu    sync.RWMutex
-	expOrder []string
-	expByKey = make(map[string]Experiment)
-)
+// Experiments holds the registered experiments; add to it through
+// RegisterExperiment. All lists them in paper (registration) order.
+var Experiments = registry.New[Experiment]("engine", ErrUnknownExperiment)
 
 // RegisterExperiment adds an experiment to the global registry. The
 // registration order is the order -exp all renders in, so register in
-// paper order. Duplicate names panic.
+// paper order. Empty or duplicate names and a nil Run panic.
 func RegisterExperiment(e Experiment) {
-	expMu.Lock()
-	defer expMu.Unlock()
-	if e.Name == "" || e.Run == nil {
-		panic("engine: RegisterExperiment with empty name or nil Run")
+	if e.Run == nil {
+		panic(fmt.Sprintf("engine: RegisterExperiment %q with nil Run", e.Name))
 	}
-	if _, dup := expByKey[e.Name]; dup {
-		panic(fmt.Sprintf("engine: duplicate registration of experiment %q — two experiments would silently shadow each other; pick a distinct name", e.Name))
-	}
-	expByKey[e.Name] = e
-	expOrder = append(expOrder, e.Name)
-}
-
-// LookupExperiment returns the named experiment.
-func LookupExperiment(name string) (Experiment, bool) {
-	expMu.RLock()
-	defer expMu.RUnlock()
-	e, ok := expByKey[name]
-	return e, ok
-}
-
-// GetExperiment returns the named experiment or an ErrUnknownExperiment
-// error listing the registered names.
-func GetExperiment(name string) (Experiment, error) {
-	if e, ok := LookupExperiment(name); ok {
-		return e, nil
-	}
-	return Experiment{}, fmt.Errorf("%w %q (known: %s)", ErrUnknownExperiment, name, strings.Join(ExperimentNames(), ", "))
-}
-
-// Experiments returns every registered experiment in registration order.
-func Experiments() []Experiment {
-	expMu.RLock()
-	defer expMu.RUnlock()
-	out := make([]Experiment, 0, len(expOrder))
-	for _, name := range expOrder {
-		out = append(out, expByKey[name])
-	}
-	return out
-}
-
-// ExperimentNames returns the registered names in registration order.
-func ExperimentNames() []string {
-	expMu.RLock()
-	defer expMu.RUnlock()
-	return append([]string(nil), expOrder...)
+	Experiments.Register(e.Name, e)
 }
 
 // DeclaredCells gathers the declared simulation dependencies of the given

@@ -407,7 +407,7 @@ func (r *Runner) simulate(ctx context.Context, c Cell) (res *simulator.Result, e
 			srcs = append(srcs, scenario.NewDrainMTBFSource(scn.Capacity, c.drainSeed(r.params.Seed), simCfg.MaxTime))
 		}
 		if c.Autoscaler != "" {
-			policy, perr := autoscale.Get(c.Autoscaler)
+			policy, perr := autoscale.Policies.Get(c.Autoscaler)
 			if perr != nil {
 				simSpan.End()
 				return nil, perr

@@ -153,8 +153,8 @@ func TestRunnerComposedScenarioCell(t *testing.T) {
 }
 
 func TestGetExperimentSentinel(t *testing.T) {
-	if _, err := GetExperiment("fig999"); !errors.Is(err, ErrUnknownExperiment) {
-		t.Errorf("GetExperiment error does not wrap sentinel: %v", err)
+	if _, err := Experiments.Get("fig999"); !errors.Is(err, ErrUnknownExperiment) {
+		t.Errorf("Experiments.Get error does not wrap sentinel: %v", err)
 	}
 }
 

@@ -13,7 +13,7 @@ func quickRunner() *engine.Runner { return engine.NewRunner(engine.QuickParams()
 
 func runExp(t *testing.T, r *engine.Runner, name string) string {
 	t.Helper()
-	e, ok := engine.LookupExperiment(name)
+	e, ok := engine.Experiments.Lookup(name)
 	if !ok {
 		t.Fatalf("experiment %q not registered", name)
 	}
@@ -56,7 +56,10 @@ func TestByteIdenticalOutputAcrossWorkerCounts(t *testing.T) {
 func TestRegistryHasEveryPaperExperiment(t *testing.T) {
 	want := []string{"fig2", "fig3", "fig6", "table2", "table3", "fig13", "fig14",
 		"fig15", "table4", "fig16", "fig17", "fig18", "scenario", "hetero", "reactive"}
-	got := engine.ExperimentNames()
+	var got []string
+	for _, e := range engine.Experiments.All() {
+		got = append(got, e.Name)
+	}
 	if len(got) != len(want) {
 		t.Fatalf("registered %d experiments %v, want %d", len(got), got, len(want))
 	}
@@ -64,7 +67,7 @@ func TestRegistryHasEveryPaperExperiment(t *testing.T) {
 		if got[i] != name {
 			t.Errorf("registration order[%d] = %q, want %q", i, got[i], name)
 		}
-		e, ok := engine.LookupExperiment(name)
+		e, ok := engine.Experiments.Lookup(name)
 		if !ok || e.Title == "" {
 			t.Errorf("%s: missing or untitled", name)
 		}
@@ -174,7 +177,7 @@ func TestFullPipelineQuick(t *testing.T) {
 	// render: every simulation below must be a cache hit.
 	var exps []engine.Experiment
 	for _, name := range []string{"fig15", "table4", "fig17", "fig18"} {
-		e, ok := engine.LookupExperiment(name)
+		e, ok := engine.Experiments.Lookup(name)
 		if !ok {
 			t.Fatalf("missing %s", name)
 		}

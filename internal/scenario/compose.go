@@ -84,9 +84,9 @@ func Compose(names ...string) (Spec, error) {
 		if name == "" {
 			return Spec{}, fmt.Errorf("%w: empty scenario name in %v", ErrIncompatible, names)
 		}
-		s, ok := Lookup(name)
-		if !ok {
-			return Spec{}, fmt.Errorf("%w %q (known: %v)", ErrUnknown, name, Names())
+		s, err := Specs.Get(name)
+		if err != nil {
+			return Spec{}, err
 		}
 		parts = append(parts, s.Name)
 		titles = append(titles, s.Title)

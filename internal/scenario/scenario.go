@@ -3,9 +3,9 @@ package scenario
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
+
+	"repro/internal/registry"
 )
 
 // ErrUnknown is wrapped by Get for names absent from the registry; match
@@ -41,34 +41,18 @@ const (
 	MTBFDrain   = "mtbf-drain"
 )
 
-var (
-	registryMu sync.RWMutex
-	registry   = make(map[string]Spec)
-)
+// Specs holds the registered scenarios by name; add to it through
+// Register. Resolve names through Get, which also accepts "+"
+// compositions.
+var Specs = registry.New[Spec]("scenario", ErrUnknown)
 
-// Register adds a named scenario. Re-registering a name panics: two
+// Register adds a named scenario. An empty or duplicate name panics: two
 // world models silently shadowing each other would corrupt experiments.
 func Register(s Spec) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if s.Name == "" {
-		panic("scenario: Register with empty name")
-	}
 	if strings.Contains(s.Name, "+") {
 		panic(fmt.Sprintf("scenario: Register %q — %q is reserved for composition (see Compose); register the parts under plain names", s.Name, "+"))
 	}
-	if _, dup := registry[s.Name]; dup {
-		panic(fmt.Sprintf("scenario: duplicate registration of %q — two world models would silently shadow each other and corrupt experiments; pick a distinct name", s.Name))
-	}
-	registry[s.Name] = s
-}
-
-// Lookup returns the named scenario.
-func Lookup(name string) (Spec, bool) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	s, ok := registry[name]
-	return s, ok
+	Specs.Register(s.Name, s)
 }
 
 // Get returns the named scenario or an error listing the known names.
@@ -80,32 +64,7 @@ func Get(name string) (Spec, error) {
 	if strings.Contains(name, "+") {
 		return Compose(strings.Split(name, "+")...)
 	}
-	if s, ok := Lookup(name); ok {
-		return s, nil
-	}
-	return Spec{}, fmt.Errorf("%w %q (known: %v)", ErrUnknown, name, Names())
-}
-
-// Names returns the registered scenario names, sorted.
-func Names() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Specs returns every registered scenario sorted by name.
-func Specs() []Spec {
-	out := make([]Spec, 0)
-	for _, n := range Names() {
-		s, _ := Lookup(n)
-		out = append(out, s)
-	}
-	return out
+	return Specs.Get(name)
 }
 
 // init registers the built-in scenarios. Timescales follow the

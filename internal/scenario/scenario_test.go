@@ -160,7 +160,7 @@ func TestTimelineKeepsPlannedEvents(t *testing.T) {
 
 func TestRegistryBuiltins(t *testing.T) {
 	for _, name := range []string{Steady, Diurnal, Burst, HeavyTail, Elastic, Spot, NodeFailure} {
-		s, ok := Lookup(name)
+		s, ok := Specs.Lookup(name)
 		if !ok {
 			t.Fatalf("built-in %q missing", name)
 		}
@@ -171,19 +171,19 @@ func TestRegistryBuiltins(t *testing.T) {
 			t.Errorf("%q arrival: %v", name, err)
 		}
 	}
-	steady, _ := Lookup(Steady)
+	steady, _ := Specs.Lookup(Steady)
 	if !steady.Capacity.IsStatic() || steady.Arrival != (ArrivalSpec{}) {
 		t.Error("steady scenario must be the zero world")
 	}
 	if _, err := Get("bogus"); err == nil {
 		t.Error("unknown scenario accepted")
 	}
-	names := Names()
+	names := Specs.Names()
 	if !sort.StringsAreSorted(names) || len(names) < 7 {
-		t.Errorf("Names() = %v", names)
+		t.Errorf("Specs.Names() = %v", names)
 	}
-	if got := Specs(); len(got) != len(names) {
-		t.Errorf("Specs() returned %d specs for %d names", len(got), len(names))
+	if got := Specs.All(); len(got) != len(names) {
+		t.Errorf("Specs.All() returned %d specs for %d names", len(got), len(names))
 	}
 }
 

@@ -3,10 +3,9 @@ package schedulers
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 
 	"repro/internal/obs"
+	"repro/internal/registry"
 	"repro/internal/simulator"
 )
 
@@ -44,55 +43,28 @@ type Config struct {
 // Factory constructs one scheduler instance from a Config.
 type Factory func(cfg Config) simulator.Scheduler
 
-var (
-	registryMu sync.RWMutex
-	registry   = make(map[string]Factory)
-)
+// Factories holds the registered scheduler factories by flag-facing
+// name; add to it through Register.
+var Factories = registry.New[Factory]("schedulers", ErrUnknown)
 
 // Register adds a named scheduler factory. Names are the flag-facing
-// lowercase identifiers ("ones", "drl", …). Re-registering a name panics:
-// two policies silently shadowing each other would corrupt experiments.
+// lowercase identifiers ("ones", "drl", …). An empty, duplicate or nil
+// registration panics: two policies silently shadowing each other would
+// corrupt experiments.
 func Register(name string, f Factory) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if name == "" || f == nil {
-		panic("schedulers: Register with empty name or nil factory")
+	if f == nil {
+		panic(fmt.Sprintf("schedulers: Register %q with nil factory", name))
 	}
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("schedulers: duplicate registration of %q — two policies would silently shadow each other and corrupt experiments; pick a distinct name", name))
-	}
-	registry[name] = f
+	Factories.Register(name, f)
 }
 
 // New constructs the named scheduler, or errors listing the known names.
 func New(name string, cfg Config) (simulator.Scheduler, error) {
-	registryMu.RLock()
-	f, ok := registry[name]
-	registryMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w %q (known: %v)", ErrUnknown, name, Names())
+	f, err := Factories.Get(name)
+	if err != nil {
+		return nil, err
 	}
 	return f(cfg), nil
-}
-
-// Has reports whether a scheduler is registered under the given name.
-func Has(name string) bool {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	_, ok := registry[name]
-	return ok
-}
-
-// Names returns the registered scheduler names, sorted.
-func Names() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 func init() {

@@ -25,7 +25,7 @@ func TestNewUnknownSchedulerListsKnownNames(t *testing.T) {
 }
 
 func TestRegistryBuildsEveryKnownName(t *testing.T) {
-	for _, name := range Names() {
+	for _, name := range Factories.Names() {
 		s, err := New(name, Config{Seed: 1, ArrivalRate: 0.1, Population: 4})
 		if err != nil {
 			t.Errorf("New(%q): %v", name, err)

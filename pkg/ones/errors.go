@@ -26,6 +26,6 @@ var (
 	// the registry (see Autoscalers).
 	ErrUnknownAutoscaler = autoscale.ErrUnknown
 	// ErrUnknownExperiment marks an experiment name absent from the
-	// registry (see Session.Experiments).
+	// registry (see Experiments).
 	ErrUnknownExperiment = engine.ErrUnknownExperiment
 )

@@ -86,9 +86,9 @@ func (s *Server) Handler() http.Handler {
 	route("GET /v1/runs/{id}/stream", s.handleStream)
 	route("GET /v1/runs/{id}/trace", s.handleTrace)
 	route("GET /v1/schedulers", s.handleSchedulers)
-	route("GET /v1/scenarios", s.handleScenarios)
-	route("GET /v1/autoscalers", s.handleAutoscalers)
-	route("GET /v1/experiments", s.handleExperiments)
+	route("GET /v1/scenarios", listing("scenarios", ones.Scenarios))
+	route("GET /v1/autoscalers", listing("autoscalers", ones.Autoscalers))
+	route("GET /v1/experiments", listing("experiments", ones.Experiments))
 	route("GET /v1/cache", s.handleCache)
 	route("DELETE /v1/cache", s.handleCacheReset)
 	open("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -261,51 +261,11 @@ func (s *Server) handleSchedulers(w http.ResponseWriter, req *http.Request) {
 	})
 }
 
-// scenarioInfo is the JSON view of one registered scenario.
-type scenarioInfo struct {
-	Name            string `json:"name"`
-	Title           string `json:"title"`
-	Arrival         string `json:"arrival"`
-	ElasticCapacity bool   `json:"elastic_capacity"`
-}
-
-func (s *Server) handleScenarios(w http.ResponseWriter, req *http.Request) {
-	specs := ones.Scenarios()
-	out := make([]scenarioInfo, len(specs))
-	for i, sp := range specs {
-		out[i] = scenarioInfo{Name: sp.Name, Title: sp.Title, Arrival: sp.Arrival, ElasticCapacity: sp.ElasticCapacity}
+// listing serves a registry listing as {"<field>": [...]}.
+func listing[T any](field string, list func() []T) http.HandlerFunc {
+	return func(w http.ResponseWriter, req *http.Request) {
+		writeJSON(w, http.StatusOK, map[string]any{field: list()})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"scenarios": out})
-}
-
-// autoscalerInfo is the JSON view of one registered autoscaler policy.
-type autoscalerInfo struct {
-	Name  string `json:"name"`
-	Title string `json:"title"`
-}
-
-func (s *Server) handleAutoscalers(w http.ResponseWriter, req *http.Request) {
-	policies := ones.Autoscalers()
-	out := make([]autoscalerInfo, len(policies))
-	for i, p := range policies {
-		out[i] = autoscalerInfo{Name: p.Name, Title: p.Title}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"autoscalers": out})
-}
-
-// experimentInfo is the JSON view of one registered experiment.
-type experimentInfo struct {
-	Name  string `json:"name"`
-	Title string `json:"title"`
-}
-
-func (s *Server) handleExperiments(w http.ResponseWriter, req *http.Request) {
-	exps := ones.Experiments()
-	out := make([]experimentInfo, len(exps))
-	for i, e := range exps {
-		out[i] = experimentInfo{Name: e.Name, Title: e.Title}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"experiments": out})
 }
 
 func (s *Server) handleCache(w http.ResponseWriter, req *http.Request) {

@@ -6,9 +6,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -306,23 +309,38 @@ func TestDaemonRegistries(t *testing.T) {
 	if len(scheds.Schedulers) == 0 || len(scheds.Paper) != 4 {
 		t.Errorf("schedulers = %+v", scheds)
 	}
-	var scns struct {
-		Scenarios []scenarioInfo `json:"scenarios"`
+	// Listings decode key by key: a struct decode matches keys
+	// case-insensitively and ignores missing ones, so a dropped or
+	// renamed JSON tag would slip through it.
+	listing := func(path, field string, keys ...string) []string {
+		t.Helper()
+		var body map[string][]map[string]any
+		if err := json.Unmarshal(doJSON(t, "GET", ts.URL+path, nil, http.StatusOK), &body); err != nil {
+			t.Fatal(err)
+		}
+		if len(body[field]) == 0 {
+			t.Errorf("no %s listed", field)
+		}
+		want := slices.Sorted(slices.Values(keys))
+		names := make([]string, len(body[field]))
+		for i, entry := range body[field] {
+			if got := slices.Sorted(maps.Keys(entry)); !slices.Equal(got, want) {
+				t.Errorf("%s[%d] keys = %v, want %v", field, i, got, want)
+			}
+			names[i], _ = entry["name"].(string)
+		}
+		return names
 	}
-	if err := json.Unmarshal(doJSON(t, "GET", ts.URL+"/v1/scenarios", nil, http.StatusOK), &scns); err != nil {
-		t.Fatal(err)
+	if names := listing("/v1/scenarios", "scenarios", "name", "title", "arrival", "elastic_capacity"); !sort.StringsAreSorted(names) {
+		t.Errorf("scenarios not sorted by name: %v", names)
 	}
-	if len(scns.Scenarios) == 0 {
-		t.Error("no scenarios listed")
+	if names := listing("/v1/autoscalers", "autoscalers", "name", "title"); !sort.StringsAreSorted(names) {
+		t.Errorf("autoscalers not sorted by name: %v", names)
 	}
-	var exps struct {
-		Experiments []experimentInfo `json:"experiments"`
-	}
-	if err := json.Unmarshal(doJSON(t, "GET", ts.URL+"/v1/experiments", nil, http.StatusOK), &exps); err != nil {
-		t.Fatal(err)
-	}
-	if len(exps.Experiments) == 0 {
-		t.Error("no experiments listed")
+	paperOrder := []string{"fig2", "fig3", "fig6", "table2", "table3", "fig13", "fig14",
+		"fig15", "table4", "fig16", "fig17", "fig18", "scenario", "hetero", "reactive"}
+	if names := listing("/v1/experiments", "experiments", "name", "title"); !slices.Equal(names, paperOrder) {
+		t.Errorf("experiments = %v, want paper order %v", names, paperOrder)
 	}
 	var cache struct {
 		Enabled bool `json:"enabled"`

@@ -52,14 +52,14 @@ func New(opts ...Option) (*Session, error) {
 	if st.err != nil {
 		return nil, st.err
 	}
-	if !schedulers.Has(st.scheduler) {
-		return nil, fmt.Errorf("%w %q (known: %v)", ErrUnknownScheduler, st.scheduler, Schedulers())
+	if _, err := schedulers.Factories.Get(st.scheduler); err != nil {
+		return nil, err
 	}
 	if _, err := scenario.Get(st.scenario); err != nil {
 		return nil, err
 	}
 	if st.autoscaler != "" {
-		if _, err := autoscale.Get(st.autoscaler); err != nil {
+		if _, err := autoscale.Policies.Get(st.autoscaler); err != nil {
 			return nil, err
 		}
 	}
@@ -219,8 +219,8 @@ func (s *Session) Compare(ctx context.Context, schedulerNames ...string) ([]*Res
 	}
 	cells := make([]engine.Cell, len(schedulerNames))
 	for i, name := range schedulerNames {
-		if !schedulers.Has(name) {
-			return nil, fmt.Errorf("%w %q (known: %v)", ErrUnknownScheduler, name, Schedulers())
+		if _, err := schedulers.Factories.Get(name); err != nil {
+			return nil, err
 		}
 		cells[i] = s.cell(name)
 	}
@@ -265,7 +265,7 @@ func (s *Session) RunExperiment(ctx context.Context, name string) (string, error
 func (s *Session) RunExperiments(ctx context.Context, names ...string) ([]ExperimentResult, error) {
 	exps := make([]engine.Experiment, len(names))
 	for i, name := range names {
-		e, err := engine.GetExperiment(name)
+		e, err := engine.Experiments.Get(name)
 		if err != nil {
 			return nil, err
 		}
@@ -296,14 +296,14 @@ func (s *Session) RunExperiments(ctx context.Context, names ...string) ([]Experi
 
 // ExperimentInfo describes one registered experiment.
 type ExperimentInfo struct {
-	Name  string
-	Title string
+	Name  string `json:"name"`
+	Title string `json:"title"`
 }
 
 // Experiments lists the registered experiments in paper (registration)
 // order.
 func Experiments() []ExperimentInfo {
-	exps := engine.Experiments()
+	exps := engine.Experiments.All()
 	out := make([]ExperimentInfo, len(exps))
 	for i, e := range exps {
 		out[i] = ExperimentInfo{Name: e.Name, Title: e.Title}
@@ -312,7 +312,7 @@ func Experiments() []ExperimentInfo {
 }
 
 // Schedulers lists the registered scheduler names, sorted.
-func Schedulers() []string { return schedulers.Names() }
+func Schedulers() []string { return schedulers.Factories.Names() }
 
 // PaperSchedulers lists the schedulers the paper's headline comparison
 // (Figure 15) evaluates: ONES and its three baselines.
@@ -320,21 +320,22 @@ func PaperSchedulers() []string { return engine.PaperSchedulers() }
 
 // ScenarioInfo describes one registered scenario.
 type ScenarioInfo struct {
-	Name    string
-	Title   string
-	Arrival string // human description of the arrival process
+	Name    string `json:"name"`
+	Title   string `json:"title"`
+	Arrival string `json:"arrival"` // human description of the arrival process
 	// ElasticCapacity is true when the scenario mutates cluster capacity
 	// during the run (failures, preemptions, planned scaling).
-	ElasticCapacity bool
+	ElasticCapacity bool `json:"elastic_capacity"`
 }
 
 // Scenarios lists the registered scenarios sorted by name. Any "+"
 // composition of these names (e.g. "diurnal+spot") is also accepted by
 // WithScenario, provided the parts claim disjoint world dimensions.
 func Scenarios() []ScenarioInfo {
-	specs := scenario.Specs()
-	out := make([]ScenarioInfo, len(specs))
-	for i, sp := range specs {
+	names := scenario.Specs.Names()
+	out := make([]ScenarioInfo, len(names))
+	for i, name := range names {
+		sp, _ := scenario.Specs.Lookup(name)
 		out[i] = ScenarioInfo{
 			Name:            sp.Name,
 			Title:           sp.Title,
@@ -347,16 +348,17 @@ func Scenarios() []ScenarioInfo {
 
 // AutoscalerInfo describes one registered autoscaler policy.
 type AutoscalerInfo struct {
-	Name  string
-	Title string
+	Name  string `json:"name"`
+	Title string `json:"title"`
 }
 
 // Autoscalers lists the registered reactive autoscaler policies sorted
 // by name. Any of these names is accepted by WithAutoscaler.
 func Autoscalers() []AutoscalerInfo {
-	policies := autoscale.Policies()
-	out := make([]AutoscalerInfo, len(policies))
-	for i, p := range policies {
+	names := autoscale.Policies.Names()
+	out := make([]AutoscalerInfo, len(names))
+	for i, name := range names {
+		p, _ := autoscale.Policies.Lookup(name)
 		out[i] = AutoscalerInfo{Name: p.Name, Title: p.Title}
 	}
 	return out
