@@ -1,7 +1,11 @@
 package simulator
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -18,6 +22,23 @@ func elasticTimeline() []scenario.CapacityEvent {
 		{Time: 500, Kind: scenario.CapacityFail, Pick: 0.1},
 		{Time: 900, Kind: scenario.CapacityJoin, Servers: 1, Restocks: scenario.CapacityFail},
 	}
+}
+
+// elasticDigest is the sha256 of the marshaled Result of the elastic
+// timeline run below, recorded when the timeline still had its own
+// precomputed event path. It is the fixed reference every source path
+// must reproduce. Recorded on amd64.
+const elasticDigest = "b6067f30b865acb775fb0ab82c50360b1a6d6c0f57ff275a97c6284036aa1f73"
+
+// resultDigest returns the hex sha256 of the marshaled Result.
+func resultDigest(t *testing.T, res *Result) string {
+	t.Helper()
+	raw, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(raw)
+	return hex.EncodeToString(sum[:])
 }
 
 // The three ways of feeding the same timeline — the Capacity slice, a
@@ -47,6 +68,9 @@ func TestSourcePathsEquivalent(t *testing.T) {
 	if viaSlice.CapacityEvents == 0 || viaSlice.Evictions == 0 {
 		t.Fatalf("timeline had no effect (events=%d evictions=%d) — equivalence would be vacuous",
 			viaSlice.CapacityEvents, viaSlice.Evictions)
+	}
+	if got := resultDigest(t, viaSlice); runtime.GOARCH == "amd64" && got != elasticDigest {
+		t.Errorf("Capacity slice Result sha256 %s, want recorded %s", got, elasticDigest)
 	}
 	if !reflect.DeepEqual(viaSlice, viaSource) {
 		t.Errorf("bare TimelineSource diverged from Capacity slice:\n%+v\nvs\n%+v", viaSource, viaSlice)
