@@ -390,32 +390,21 @@ func (r *Runner) simulate(ctx context.Context, c Cell) (res *simulator.Result, e
 	simCfg := simulator.DefaultConfig(trace)
 	simCfg.Topo = topo
 	simCfg.RecordEvents = r.params.RecordEvents
-	// The capacity timeline is seeded from the cell key minus the
+	// The capacity events are seeded from the cell key minus the
 	// scheduler, so paired comparisons face the identical world.
-	timeline := scn.Capacity.Timeline(c.scenarioSeed(r.params.Seed), simCfg.MaxTime)
 	simCfg.MinServers = scn.Capacity.MinServers
-	if c.Autoscaler == "" && scn.Capacity.DrainMTBF <= 0 {
-		// No state-dependent producers: the precomputed timeline replays
-		// on the exact pre-source path, byte-for-byte.
-		simCfg.Capacity = timeline
-	} else {
-		var srcs []scenario.CapacitySource
-		if len(timeline) > 0 {
-			srcs = append(srcs, scenario.NewTimelineSource(timeline))
+	var controller scenario.CapacitySource
+	if c.Autoscaler != "" {
+		policy, perr := autoscale.Policies.Get(c.Autoscaler)
+		if perr != nil {
+			simSpan.End()
+			return nil, perr
 		}
-		if scn.Capacity.DrainMTBF > 0 {
-			srcs = append(srcs, scenario.NewDrainMTBFSource(scn.Capacity, c.drainSeed(r.params.Seed), simCfg.MaxTime))
-		}
-		if c.Autoscaler != "" {
-			policy, perr := autoscale.Policies.Get(c.Autoscaler)
-			if perr != nil {
-				simSpan.End()
-				return nil, perr
-			}
-			srcs = append(srcs, autoscale.NewController(policy, c.autoscalerSeed(r.params.Seed), r.Obs))
-		}
-		simCfg.Source = scenario.Sources(srcs...)
+		controller = autoscale.NewController(policy, c.autoscalerSeed(r.params.Seed), r.Obs)
 	}
+	simCfg.Source = scenario.Sources(
+		scn.Capacity.Source(c.scenarioSeed(r.params.Seed), c.drainSeed(r.params.Seed), simCfg.MaxTime),
+		controller)
 	res, err = simulator.RunContext(ctx, simCfg, sched)
 	simSpan.End()
 	elapsed := time.Since(start) //ones:allow detrand obs-only wall-time measurement paired with the start read above

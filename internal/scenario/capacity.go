@@ -62,8 +62,7 @@ type CapacityEvent struct {
 	// timelines and chaos processes, OriginAutoscaler for events a
 	// reactive controller emitted. The simulator uses it to count
 	// controller-driven scaling separately; it never changes how the
-	// event applies. Omitted from JSON when empty, so pre-source cached
-	// results marshal exactly as before.
+	// event applies. Omitted from JSON when empty.
 	Origin string `json:"origin,omitempty"`
 }
 
@@ -76,7 +75,8 @@ const DefaultHorizon = 7200.0
 // planned schedule plus seeded stochastic failure/preemption processes.
 type CapacitySpec struct {
 	// Planned events fire at fixed times (elastic scale-up/down,
-	// maintenance drains). Times are relative to simulation start.
+	// maintenance drains). Times are relative to simulation start;
+	// Horizon does not cut them off.
 	Planned []CapacityEvent `json:"planned,omitempty"`
 
 	// FailMTBF is the cluster-wide mean time between node failures in
@@ -117,20 +117,21 @@ func (c CapacitySpec) IsStatic() bool {
 // state, so every scheduler facing the same scenario cell sees the
 // identical sequence of cluster changes — the pairing that keeps
 // cross-scheduler comparisons meaningful. maxHorizon (typically the
-// simulator's MaxTime) additionally caps generation.
+// simulator's MaxTime, 0 ⇒ no cap) drops planned events after it and
+// additionally caps stochastic generation, which Horizon already bounds.
 func (c CapacitySpec) Timeline(seed int64, maxHorizon float64) []CapacityEvent {
+	var events []CapacityEvent
+	for _, ev := range c.Planned {
+		if maxHorizon <= 0 || ev.Time <= maxHorizon {
+			events = append(events, ev)
+		}
+	}
 	horizon := c.Horizon
 	if horizon <= 0 {
 		horizon = DefaultHorizon
 	}
 	if maxHorizon > 0 && maxHorizon < horizon {
 		horizon = maxHorizon
-	}
-	var events []CapacityEvent
-	for _, ev := range c.Planned {
-		if ev.Time <= horizon {
-			events = append(events, ev)
-		}
 	}
 	rng := rand.New(rand.NewSource(seed))
 	draw := func(mtbf, restock float64, kind CapacityEventKind) {
@@ -150,4 +151,20 @@ func (c CapacitySpec) Timeline(seed int64, maxHorizon float64) []CapacityEvent {
 	// deterministic, so ties at equal times resolve identically every run.
 	sort.SliceStable(events, func(i, j int) bool { return events[i].Time < events[j].Time })
 	return events
+}
+
+// Source returns every capacity change the spec describes as one
+// CapacitySource: the Timeline drawn from seed, composed with the
+// DrainMTBF process drawn from drainSeed. Separate seeds keep a
+// scenario's timeline unchanged when drains are added to it. maxHorizon
+// caps both, as in Timeline. Nil when the capacity never changes.
+func (c CapacitySpec) Source(seed, drainSeed int64, maxHorizon float64) CapacitySource {
+	var srcs []CapacitySource
+	if timeline := c.Timeline(seed, maxHorizon); len(timeline) > 0 {
+		srcs = append(srcs, NewTimelineSource(timeline))
+	}
+	if c.DrainMTBF > 0 {
+		srcs = append(srcs, NewDrainMTBFSource(c, drainSeed, maxHorizon))
+	}
+	return Sources(srcs...)
 }

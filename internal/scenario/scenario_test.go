@@ -158,6 +158,23 @@ func TestTimelineKeepsPlannedEvents(t *testing.T) {
 	}
 }
 
+// Horizon bounds only the stochastic draws: a planned event after it
+// still fires, and only the caller's maxHorizon cuts planned events off.
+func TestTimelineKeepsPlannedEventsPastHorizon(t *testing.T) {
+	late := CapacityEvent{Time: 8000, Kind: CapacityLeave, Servers: 1}
+	spec := CapacitySpec{Planned: []CapacityEvent{late}}
+	if got := spec.Timeline(1, 1e7); !reflect.DeepEqual(got, []CapacityEvent{late}) {
+		t.Errorf("planned event past DefaultHorizon dropped: %+v", got)
+	}
+	spec.Horizon = 100
+	if got := spec.Timeline(1, 0); !reflect.DeepEqual(got, []CapacityEvent{late}) {
+		t.Errorf("planned event past Horizon 100 dropped: %+v", got)
+	}
+	if got := spec.Timeline(1, 5000); len(got) != 0 {
+		t.Errorf("planned event past maxHorizon 5000 kept: %+v", got)
+	}
+}
+
 func TestRegistryBuiltins(t *testing.T) {
 	for _, name := range []string{Steady, Diurnal, Burst, HeavyTail, Elastic, Spot, NodeFailure} {
 		s, ok := Specs.Lookup(name)

@@ -53,7 +53,7 @@ func TestSourcesComposition(t *testing.T) {
 	}
 	lone := NewTimelineSource(nil)
 	if got := Sources(nil, lone); got != CapacitySource(lone) {
-		t.Error("single live source must be returned as itself (fast-path identity)")
+		t.Error("single live source must be returned as itself")
 	}
 	a := NewTimelineSource([]CapacityEvent{{Time: 20, Kind: CapacityLeave}})
 	b := NewTimelineSource([]CapacityEvent{
@@ -78,6 +78,61 @@ func TestSourcesComposition(t *testing.T) {
 	}
 	if got := m.NextWake(20); got >= 0 {
 		t.Fatalf("exhausted composed wake = %v", got)
+	}
+}
+
+// collect gathers every event a source delivers, consulting it at each of
+// its wakes against a fixed view.
+func collect(src CapacitySource, view ClusterView) []CapacityEvent {
+	var all []CapacityEvent
+	for now := -1.0; ; {
+		if now = src.NextWake(now); now < 0 {
+			return all
+		}
+		all = append(all, src.Next(now, view)...)
+	}
+}
+
+func TestCapacitySpecSourceComposesTimelineAndDrains(t *testing.T) {
+	if src := (CapacitySpec{MinServers: 2}).Source(1, 2, 0); src != nil {
+		t.Errorf("static spec yielded source %+v, want nil", src)
+	}
+	spec := CapacitySpec{
+		Planned:      []CapacityEvent{{Time: 100, Kind: CapacityLeave, Servers: 2}},
+		FailMTBF:     400,
+		FailRepair:   300,
+		DrainMTBF:    500,
+		DrainRestock: 200,
+		Horizon:      3000,
+	}
+	view := ClusterView{LiveRacks: []int{0, 1, 2}}
+	got := collect(spec.Source(3, 4, 0), view)
+	timeline := spec.Timeline(3, 0)
+	drains := collect(NewDrainMTBFSource(spec, 4, 0), view)
+	if len(timeline) < 2 || len(drains) == 0 {
+		t.Fatalf("vacuous spec: %d timeline events, %d drain events", len(timeline), len(drains))
+	}
+	if len(got) != len(timeline)+len(drains) {
+		t.Fatalf("Source delivered %d events, want %d timeline + %d drain", len(got), len(timeline), len(drains))
+	}
+	// Each part arrives whole and in its own order: the timeline drawn
+	// from seed, the drains from drainSeed.
+	var gotTimeline, gotDrains []CapacityEvent
+	ti := 0
+	for i, ev := range got {
+		if i > 0 && ev.Time < got[i-1].Time {
+			t.Fatalf("event %d at %v after %v", i, ev.Time, got[i-1].Time)
+		}
+		if ti < len(timeline) && ev == timeline[ti] {
+			gotTimeline = append(gotTimeline, ev)
+			ti++
+		} else {
+			gotDrains = append(gotDrains, ev)
+		}
+	}
+	if !reflect.DeepEqual(gotTimeline, timeline) || !reflect.DeepEqual(gotDrains, drains) {
+		t.Errorf("Source interleaving lost events:\ntimeline %+v\nwant     %+v\ndrains %+v\nwant   %+v",
+			gotTimeline, timeline, gotDrains, drains)
 	}
 }
 

@@ -37,10 +37,10 @@ func simulate(t *testing.T, sched string, recordEvents bool) *simulator.Result {
 	cfg.Topo = cluster.Uniform(4, 4)
 	cfg.RecordEvents = recordEvents
 	if recordEvents {
-		cfg.Capacity = []scenario.CapacityEvent{
+		cfg.Source = scenario.NewTimelineSource([]scenario.CapacityEvent{
 			{Time: 40, Kind: scenario.CapacityFail, Servers: 1, Pick: 0.3},
 			{Time: 400, Kind: scenario.CapacityJoin, Servers: 1, Restocks: scenario.CapacityFail},
-		}
+		})
 	}
 	res, err := simulator.Run(cfg, s)
 	if err != nil {

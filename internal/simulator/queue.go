@@ -5,11 +5,9 @@ import "sync"
 // eventLess orders the simulation timeline: time, then kind, then job,
 // then sequence. The order is a strict total order over every event a run
 // can enqueue — arrivals are unique per job, epoch ends unique per
-// (job, seq), ticks form a single chain, capacity events are unique per
-// timeline index, and source wakes (seq -1) form a single chain like
-// ticks (at most one in flight; a run uses either the timeline path or
-// the source path, never both) — so any correct priority queue pops the
-// identical sequence and the queue implementation can never change
+// (job, seq), and ticks and capacity-source wakes each form a single
+// chain with at most one in flight — so any correct priority queue pops
+// the identical sequence and the queue implementation can never change
 // results.
 func eventLess(a, b event) bool {
 	if a.t != b.t {
@@ -21,7 +19,6 @@ func eventLess(a, b event) bool {
 	if a.job != b.job {
 		return a.job < b.job
 	}
-	// Same-time capacity events must apply in timeline index order.
 	return a.seq < b.seq
 }
 

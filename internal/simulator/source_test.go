@@ -6,14 +6,14 @@ import (
 	"encoding/json"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 
 	"repro/internal/scenario"
 )
 
 // elasticTimeline is a small planned schedule with same-time events, the
-// case where wake-batch semantics could diverge from the per-index path.
+// case where a wake's batch of events could apply differently from one
+// event at a time.
 func elasticTimeline() []scenario.CapacityEvent {
 	return []scenario.CapacityEvent{
 		{Time: 60, Kind: scenario.CapacityLeave, Pick: 0.999},
@@ -25,9 +25,9 @@ func elasticTimeline() []scenario.CapacityEvent {
 }
 
 // elasticDigest is the sha256 of the marshaled Result of the elastic
-// timeline run below, recorded when the timeline still had its own
-// precomputed event path. It is the fixed reference every source path
-// must reproduce. Recorded on amd64.
+// timeline run below, recorded when planned timelines still replayed on a
+// separate precomputed event path. It is the fixed reference every source
+// path must reproduce. Recorded on amd64.
 const elasticDigest = "b6067f30b865acb775fb0ab82c50360b1a6d6c0f57ff275a97c6284036aa1f73"
 
 // resultDigest returns the hex sha256 of the marshaled Result.
@@ -41,11 +41,10 @@ func resultDigest(t *testing.T, res *Result) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// The three ways of feeding the same timeline — the Capacity slice, a
-// bare TimelineSource (unwrapped onto the slice path), and a TimelineSource
-// forced through the generic wake path by composing it with a second
-// (empty) source — must yield identical Results, or the CapacitySource
-// refactor changed planned-scenario physics.
+// The two ways of feeding the same timeline — a bare TimelineSource, and
+// one composed with a second (empty) source — must yield identical
+// Results, and both must match the recorded digest, or planned-scenario
+// physics changed.
 func TestSourcePathsEquivalent(t *testing.T) {
 	run := func(mutate func(*Config)) *Result {
 		cfg := smallConfig(t, 10)
@@ -57,39 +56,29 @@ func TestSourcePathsEquivalent(t *testing.T) {
 		}
 		return res
 	}
-	viaSlice := run(func(c *Config) { c.Capacity = elasticTimeline() })
 	viaSource := run(func(c *Config) { c.Source = scenario.NewTimelineSource(elasticTimeline()) })
-	viaWake := run(func(c *Config) {
+	viaMulti := run(func(c *Config) {
 		c.Source = scenario.Sources(
 			scenario.NewTimelineSource(elasticTimeline()),
-			scenario.NewTimelineSource(nil), // forces the multi-source wake path
+			scenario.NewTimelineSource(nil), // forces the composed source
 		)
 	})
-	if viaSlice.CapacityEvents == 0 || viaSlice.Evictions == 0 {
+	if viaSource.CapacityEvents == 0 || viaSource.Evictions == 0 {
 		t.Fatalf("timeline had no effect (events=%d evictions=%d) — equivalence would be vacuous",
-			viaSlice.CapacityEvents, viaSlice.Evictions)
+			viaSource.CapacityEvents, viaSource.Evictions)
 	}
-	if got := resultDigest(t, viaSlice); runtime.GOARCH == "amd64" && got != elasticDigest {
-		t.Errorf("Capacity slice Result sha256 %s, want recorded %s", got, elasticDigest)
+	if runtime.GOARCH == "amd64" {
+		for name, res := range map[string]*Result{"bare": viaSource, "composed": viaMulti} {
+			if got := resultDigest(t, res); got != elasticDigest {
+				t.Errorf("%s TimelineSource Result sha256 %s, want recorded %s", name, got, elasticDigest)
+			}
+		}
 	}
-	if !reflect.DeepEqual(viaSlice, viaSource) {
-		t.Errorf("bare TimelineSource diverged from Capacity slice:\n%+v\nvs\n%+v", viaSource, viaSlice)
+	if !reflect.DeepEqual(viaSource, viaMulti) {
+		t.Errorf("composed source diverged from bare TimelineSource:\n%+v\nvs\n%+v", viaMulti, viaSource)
 	}
-	if !reflect.DeepEqual(viaSlice, viaWake) {
-		t.Errorf("wake-path source diverged from Capacity slice:\n%+v\nvs\n%+v", viaWake, viaSlice)
-	}
-	if viaWake.ScaleUps != 0 || viaWake.ScaleDowns != 0 || viaWake.AutoscaleEvents != 0 {
-		t.Errorf("timeline events counted as autoscaler activity: %+v", viaWake)
-	}
-}
-
-func TestCapacityAndSourceMutuallyExclusive(t *testing.T) {
-	cfg := smallConfig(t, 4)
-	cfg.Capacity = elasticTimeline()
-	cfg.Source = scenario.NewTimelineSource(nil)
-	_, err := Run(cfg, &fifoTest{})
-	if err == nil || !strings.Contains(err.Error(), "both Capacity and Source") {
-		t.Fatalf("err = %v, want rejection of double capacity feed", err)
+	if viaMulti.ScaleUps != 0 || viaMulti.ScaleDowns != 0 || viaMulti.AutoscaleEvents != 0 {
+		t.Errorf("timeline events counted as autoscaler activity: %+v", viaMulti)
 	}
 }
 

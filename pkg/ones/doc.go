@@ -32,7 +32,7 @@
 // byte-identical for a given seed at any worker count).
 //
 // Progress and live metrics stream through the Observer interface (see
-// WithObserver); NewStream adapts an Observer to a channel. Lookup
+// WithObserver; ObserverFunc adapts a plain function). Lookup
 // failures wrap the typed sentinel errors ErrUnknownScheduler,
 // ErrUnknownScenario and ErrUnknownExperiment, so callers can
 // errors.Is-match them without parsing messages.
