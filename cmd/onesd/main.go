@@ -77,7 +77,7 @@ func main() {
 		maxRuns    = flag.Int("max-runs", 0, "cap the run table; oldest finished runs are evicted beyond it (0: unbounded)")
 		runTTL     = flag.Duration("run-ttl", 0, "evict finished runs this long after completion (0: keep forever)")
 		cacheMax   = flag.Int("cache-max-entries", 0, "cap the in-memory result memo, LRU-evicting completed entries (0: unbounded)")
-		cacheTTL   = flag.Duration("cache-ttl", 0, "evict completed memo entries idle this long (0: never)")
+		cacheTTL   = flag.Duration("cache-ttl", 0, "evict completed memo entries this long after their last store or hit (0: never)")
 		cacheBytes = flag.Int64("cache-max-bytes", 0, "cap the -cache-dir size in bytes, removing oldest files (0: unbounded)")
 		sweepEvery = flag.Duration("sweep-interval", time.Minute, "how often to sweep cache limits when idle")
 

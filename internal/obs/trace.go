@@ -4,12 +4,14 @@ import (
 	"context"
 	"sync"
 	"time"
+
+	"repro/internal/evict"
 )
 
 // Tracer owns a bounded buffer of traces, keyed by trace ID (onesd uses
-// run IDs). When the buffer is full the oldest trace is evicted — a
-// long-lived daemon keeps the most recent runs inspectable without
-// unbounded memory. Safe for concurrent use.
+// run IDs). When the buffer is full the least recently started trace is
+// evicted — a long-lived daemon keeps the most recent runs inspectable
+// without unbounded memory. Safe for concurrent use.
 //
 //ones:nilsafe
 type Tracer struct {
@@ -18,7 +20,7 @@ type Tracer struct {
 
 	mu     sync.Mutex
 	traces map[string]*Trace
-	order  []string // insertion order, for eviction
+	order  evict.Queue[string] // start order, for eviction
 }
 
 // Default trace-buffer bounds: how many traces a Tracer retains and how
@@ -45,8 +47,9 @@ func NewTracer(maxTraces, maxSpansPerTrace int) *Tracer {
 // Start opens a new trace under id with a root span named name and
 // returns a context carrying it — StartSpan calls below that context
 // record child spans into the trace. Re-using an id replaces the old
-// trace. End the returned span to close the root. Safe on a nil Tracer
-// (returns ctx unchanged and a nil span).
+// trace, which becomes the newest in eviction order. End the returned
+// span to close the root. Safe on a nil Tracer (returns ctx unchanged
+// and a nil span).
 func (t *Tracer) Start(ctx context.Context, id, name string) (context.Context, *Span) {
 	if t == nil {
 		return ctx, nil
@@ -54,14 +57,9 @@ func (t *Tracer) Start(ctx context.Context, id, name string) (context.Context, *
 	tr := &Trace{id: id, start: time.Now(), maxSpans: t.maxSpans}
 	root := tr.newSpan(nil, name)
 	t.mu.Lock()
-	if _, exists := t.traces[id]; !exists {
-		t.order = append(t.order, id)
-		for len(t.order) > t.maxTraces {
-			delete(t.traces, t.order[0])
-			t.order = t.order[1:]
-		}
-	}
 	t.traces[id] = tr
+	t.order.Touch(id, tr.start)
+	t.order.Sweep(tr.start, 0, t.maxTraces, len(t.traces), func(id, _ string) { delete(t.traces, id) })
 	t.mu.Unlock()
 	return ContextWithSpan(ctx, root), root
 }

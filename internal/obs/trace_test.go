@@ -123,6 +123,22 @@ func TestTracerEvictsOldest(t *testing.T) {
 			t.Errorf("trace %s missing", id)
 		}
 	}
+
+	// A re-used id becomes the newest trace: start a, b, a, c and the
+	// eviction takes b.
+	tr = NewTracer(2, 8)
+	for _, id := range []string{"a", "b", "a", "c"} {
+		_, root := tr.Start(context.Background(), id, "run")
+		root.End()
+	}
+	if _, ok := tr.Tree("b"); ok {
+		t.Error("trace b survived; the restarted trace a should have outlived it")
+	}
+	for _, id := range []string{"a", "c"} {
+		if _, ok := tr.Tree(id); !ok {
+			t.Errorf("trace %s missing", id)
+		}
+	}
 }
 
 func TestNilTracerAndContextFreeSpans(t *testing.T) {

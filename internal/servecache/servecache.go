@@ -35,6 +35,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/evict"
 	"repro/internal/obs"
 	"repro/internal/simulator"
 )
@@ -81,7 +82,7 @@ type Limits struct {
 	// (in-flight entries don't count as evictable and can push the memo
 	// transiently over the cap). 0 ⇒ unbounded.
 	MaxEntries int
-	// TTL evicts completed memo entries idle (neither stored nor hit)
+	// TTL evicts completed memo entries idle since stored or last hit
 	// for at least this long. 0 ⇒ entries never expire.
 	TTL time.Duration
 	// MaxDiskBytes caps the persistence directory: after each write-
@@ -100,6 +101,7 @@ type Cache struct {
 
 	mu      sync.Mutex
 	entries map[string]*entry
+	lru     evict.Queue[string] // completed entries, by last store/hit
 	stats   Stats
 	limits  Limits
 	now     func() time.Time // injectable for the eviction soak tests
@@ -117,10 +119,7 @@ type cacheObs struct {
 	dedupWaits *obs.Counter
 	diskWrites *obs.Counter
 	discards   *obs.Counter
-	// Bounded-state sweep outcomes (cache_evictions_total{store,reason}).
-	memoTTLEvicts *obs.Counter
-	memoCapEvicts *obs.Counter
-	diskCapEvicts *obs.Counter
+	evictions  *obs.CounterVec // cache_evictions_total{store,reason}
 }
 
 var noCacheObs cacheObs
@@ -146,16 +145,18 @@ func (c *Cache) Instrument(reg *obs.Registry) {
 	}
 	hits := reg.CounterVec("servecache_hits_total", "Cache hits by source (memory: in-process memo; disk: persisted file).", "source")
 	evictions := reg.CounterVec("cache_evictions_total", "Entries evicted from the daemon's bounded stores, by store and reason.", "store", "reason")
+	// Resolve the cache's series up front so /metrics shows them at 0.
+	evictions.With("memo", "ttl")
+	evictions.With("memo", "cap")
+	evictions.With("disk", "cap")
 	c.obsP.Store(&cacheObs{
-		memoryHits:    hits.With("memory"),
-		diskHits:      hits.With("disk"),
-		computes:      reg.Counter("servecache_computes_total", "Cache misses that ran a full simulation."),
-		dedupWaits:    reg.Counter("servecache_dedup_waits_total", "Calls that piggybacked on another caller's in-flight computation."),
-		diskWrites:    reg.Counter("servecache_disk_writes_total", "Results written through to the persistence directory."),
-		discards:      reg.Counter("servecache_discards_total", "Corrupt, unreadable or version-mismatched cache files discarded."),
-		memoTTLEvicts: evictions.With("memo", "ttl"),
-		memoCapEvicts: evictions.With("memo", "cap"),
-		diskCapEvicts: evictions.With("disk", "cap"),
+		memoryHits: hits.With("memory"),
+		diskHits:   hits.With("disk"),
+		computes:   reg.Counter("servecache_computes_total", "Cache misses that ran a full simulation."),
+		dedupWaits: reg.Counter("servecache_dedup_waits_total", "Calls that piggybacked on another caller's in-flight computation."),
+		diskWrites: reg.Counter("servecache_disk_writes_total", "Results written through to the persistence directory."),
+		discards:   reg.Counter("servecache_discards_total", "Corrupt, unreadable or version-mismatched cache files discarded."),
+		evictions:  evictions,
 	})
 	reg.GaugeFunc("servecache_entries", "Entries in the in-memory result memo.", func() float64 {
 		c.mu.Lock()
@@ -193,27 +194,13 @@ func (c *Cache) diskBytes() int64 {
 
 // entry is a singleflight slot: the goroutine that inserts it resolves
 // it (from disk or by computing) and closes done; everyone else waits on
-// done or their own context.
+// done or their own context. Only completed entries sit in Cache.lru, so
+// only they are evictable (the singleflight contract: waiters hold the
+// entry pointer and must see it resolve).
 type entry struct {
 	done chan struct{}
 	res  *simulator.Result
 	err  error
-
-	// lastUse orders the memo for LRU eviction and TTL expiry; written
-	// at insertion and on every memory hit, under Cache.mu.
-	lastUse time.Time
-}
-
-// completed reports whether the entry's computation has finished — only
-// completed entries are evictable (the singleflight contract: waiters
-// hold the entry pointer and must see it resolve).
-func (e *entry) completed() bool {
-	select {
-	case <-e.done:
-		return true
-	default:
-		return false
-	}
 }
 
 // New returns a Cache persisting to dir ("" ⇒ shared memory only, no
@@ -277,55 +264,16 @@ func (c *Cache) Sweep() int {
 
 // sweepMemoLocked drops completed memo entries past their TTL, then —
 // when the memo exceeds MaxEntries — the least-recently-used completed
-// entries until it fits. In-flight entries are never touched (Reset
+// entries until it fits. In-flight entries are never queued (Reset
 // semantics), so the memo can transiently exceed the cap while every
 // excess entry is still computing.
 func (c *Cache) sweepMemoLocked() int {
-	l := c.limits
-	if l.TTL <= 0 && l.MaxEntries <= 0 {
-		return 0
-	}
 	oh := c.oh()
-	now := c.now()
-	evicted := 0
-	if l.TTL > 0 {
-		for key, e := range c.entries {
-			if e.completed() && now.Sub(e.lastUse) >= l.TTL {
-				delete(c.entries, key)
-				c.stats.MemoEvictions++
-				oh.memoTTLEvicts.Inc()
-				evicted++
-			}
-		}
-	}
-	if l.MaxEntries > 0 && len(c.entries) > l.MaxEntries {
-		type victim struct {
-			key     string
-			lastUse time.Time
-		}
-		var victims []victim
-		for key, e := range c.entries {
-			if e.completed() {
-				victims = append(victims, victim{key, e.lastUse})
-			}
-		}
-		sort.Slice(victims, func(i, j int) bool {
-			if !victims[i].lastUse.Equal(victims[j].lastUse) {
-				return victims[i].lastUse.Before(victims[j].lastUse)
-			}
-			return victims[i].key < victims[j].key // tie-break: deterministic sweeps
-		})
-		for _, v := range victims {
-			if len(c.entries) <= l.MaxEntries {
-				break
-			}
-			delete(c.entries, v.key)
-			c.stats.MemoEvictions++
-			oh.memoCapEvicts.Inc()
-			evicted++
-		}
-	}
-	return evicted
+	return c.lru.Sweep(c.now(), c.limits.TTL, c.limits.MaxEntries, len(c.entries), func(key, reason string) {
+		delete(c.entries, key)
+		c.stats.MemoEvictions++
+		oh.evictions.With("memo", reason).Inc()
+	})
 }
 
 // sweepDisk removes the oldest persisted files until the directory fits
@@ -383,7 +331,7 @@ func (c *Cache) sweepDisk() int {
 		}
 		total -= f.size
 		c.count(func(s *Stats) { s.DiskEvictions++ })
-		oh.diskCapEvicts.Inc()
+		oh.evictions.With("disk", "cap").Inc()
 		evicted++
 	}
 	return evicted
@@ -414,6 +362,7 @@ func (c *Cache) Reset() int {
 		select {
 		case <-e.done:
 			delete(c.entries, key)
+			c.lru.Remove(key)
 			dropped++
 		default:
 		}
@@ -439,20 +388,20 @@ func (c *Cache) Do(ctx context.Context, key string, compute func() (*simulator.R
 		c.mu.Lock()
 		e, ok := c.entries[key]
 		if !ok {
-			e = &entry{done: make(chan struct{}), lastUse: c.now()}
+			e = &entry{done: make(chan struct{})}
 			c.entries[key] = e
 			c.mu.Unlock()
 			c.resolve(e, key, compute)
+			c.mu.Lock()
 			if e.err != nil && isCtxErr(e.err) {
-				c.mu.Lock()
 				delete(c.entries, key)
-				c.mu.Unlock()
+			} else {
+				c.lru.Touch(key, c.now()) // ages from the store, not the claim
 			}
 			close(e.done)
 			// The memo and the disk dir only grow on inserts, so this is
 			// the spot that keeps them bounded (plus periodic Sweeps for
 			// TTL expiry under no traffic).
-			c.mu.Lock()
 			c.sweepMemoLocked()
 			c.mu.Unlock()
 			c.sweepDisk()
@@ -462,7 +411,7 @@ func (c *Cache) Do(ctx context.Context, key string, compute func() (*simulator.R
 			case <-e.done:
 				c.stats.MemoryHits++
 				oh.memoryHits.Inc()
-				e.lastUse = c.now()
+				c.lru.Touch(key, c.now())
 			default:
 				c.stats.DedupWaits++
 				oh.dedupWaits.Inc()

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/scenario"
@@ -412,4 +413,73 @@ func TestResetLeavesInFlightEntries(t *testing.T) {
 	if got := c.Stats().Entries; got != 1 {
 		t.Fatalf("in-flight entry lost: entries = %d, want 1", got)
 	}
+}
+
+// TestMemoAgesFromStore pins that a memo entry's idle time (TTL) and its
+// LRU position count from when its result was stored or last hit, not
+// from when its computation was claimed.
+func TestMemoAgesFromStore(t *testing.T) {
+	res := simulate(t, "fifo", false)
+	ctx := context.Background()
+
+	t.Run("ttl", func(t *testing.T) {
+		c := mustCache(t, "")
+		clk := &soakClock{t: time.Unix(1_700_000_000, 0)}
+		c.SetClock(clk.now)
+		c.SetLimits(Limits{TTL: time.Minute})
+		// The compute outlasts the TTL: the stored entry is fresh anyway.
+		if _, err := c.Do(ctx, "slow", func() (*simulator.Result, error) {
+			clk.advance(2 * time.Minute)
+			return res, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if st := c.Stats(); st.Entries != 1 || st.MemoEvictions != 0 {
+			t.Fatalf("entry evicted on store: Entries %d, MemoEvictions %d; want 1, 0", st.Entries, st.MemoEvictions)
+		}
+	})
+
+	t.Run("cap", func(t *testing.T) {
+		c := mustCache(t, "")
+		clk := &soakClock{t: time.Unix(1_700_000_000, 0)}
+		c.SetClock(clk.now)
+		c.SetLimits(Limits{MaxEntries: 2})
+		compute := func() (*simulator.Result, error) { return res, nil }
+		do := func(key string) {
+			t.Helper()
+			clk.advance(time.Second)
+			if _, err := c.Do(ctx, key, compute); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Claim A, whose compute is slow; store B; then store A.
+		started, release, doneA := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+		go func() {
+			_, err := c.Do(ctx, "A", func() (*simulator.Result, error) {
+				close(started)
+				<-release
+				clk.advance(time.Second)
+				return res, nil
+			})
+			doneA <- err
+		}()
+		<-started
+		do("B")
+		close(release)
+		if err := <-doneA; err != nil {
+			t.Fatal(err)
+		}
+		// Storing C evicts the least recently stored entry: B, not A.
+		do("C")
+		if st := c.Stats(); st.Entries != 2 || st.MemoEvictions != 1 {
+			t.Fatalf("Entries %d, MemoEvictions %d; want 2, 1", st.Entries, st.MemoEvictions)
+		}
+		c.mu.Lock()
+		_, hasA := c.entries["A"]
+		_, hasB := c.entries["B"]
+		c.mu.Unlock()
+		if !hasA || hasB {
+			t.Fatalf("memo holds A=%v B=%v; want A kept and B evicted", hasA, hasB)
+		}
+	})
 }

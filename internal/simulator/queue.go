@@ -1,7 +1,5 @@
 package simulator
 
-import "sync"
-
 // eventLess orders the simulation timeline: time, then kind, then job,
 // then sequence. The order is a strict total order over every event a run
 // can enqueue — arrivals are unique per job, epoch ends unique per
@@ -80,8 +78,3 @@ func (q *eventQueue) pop() event {
 	}
 	return top
 }
-
-// eventQueuePool recycles queue backing arrays across runs: a parallel
-// experiment sweep multiplies allocation pressure, and the queue is the
-// one simulation-length buffer every run needs.
-var eventQueuePool = sync.Pool{New: func() any { return new(eventQueue) }}

@@ -53,8 +53,8 @@ type CacheLimits struct {
 	// MaxEntries caps the in-memory memo; beyond it the least-recently-
 	// used completed entries are evicted. 0 ⇒ unbounded.
 	MaxEntries int
-	// TTL evicts completed memo entries idle for at least this long.
-	// 0 ⇒ entries never expire.
+	// TTL evicts completed memo entries idle since stored or last hit
+	// for at least this long. 0 ⇒ entries never expire.
 	TTL time.Duration
 	// MaxDiskBytes caps the persistence directory; beyond it the oldest
 	// files are removed. 0 ⇒ unbounded.

@@ -43,9 +43,10 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 // span named name, and returns a context carrying it plus a function
 // closing the root span. Session work invoked with the returned context
 // records its cell lifecycle spans into the trace; read it back with
-// TraceTree. Re-using an id replaces the old trace, and when the buffer
-// is full the oldest trace is evicted. Safe on a nil Metrics (returns
-// ctx unchanged and a no-op closer).
+// TraceTree. Re-using an id replaces the old trace and makes it the
+// newest trace; when the buffer is full the least recently started trace
+// is evicted. Safe on a nil Metrics (returns ctx unchanged and a no-op
+// closer).
 func (m *Metrics) StartTrace(ctx context.Context, id, name string) (context.Context, func()) {
 	if m == nil {
 		return ctx, func() {}

@@ -16,9 +16,11 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"slices"
 	"sync"
 	"time"
 
+	"repro/internal/evict"
 	"repro/internal/obs"
 	"repro/pkg/ones"
 )
@@ -283,18 +285,12 @@ type Server struct {
 
 	mu       sync.Mutex
 	runs     map[string]*run
-	order    []string      // creation order, for stable listings
-	finished []finishedRun // finish order: the eviction queue
+	order    []string            // creation order, for stable listings
+	finished evict.Queue[string] // finished runs, in finish order
 	seq      int
 	closed   bool
 
 	wg sync.WaitGroup
-}
-
-// finishedRun is one entry of the run table's eviction queue.
-type finishedRun struct {
-	id string
-	at time.Time // TTL anchor
 }
 
 // New builds a Server over a shared cache (nil ⇒ runs are independent:
@@ -430,7 +426,7 @@ func (s *Server) start(spec RunSpec) (*run, error) {
 		// Server.mu hold, so no sweep sees a finished run it cannot evict.
 		s.mu.Lock()
 		r.finish(res, err, runCtx.Err() != nil)
-		s.finished = append(s.finished, finishedRun{id: id, at: s.now()})
+		s.finished.Touch(id, s.now())
 		s.mu.Unlock()
 		r.hub.close()
 		if err != nil && runCtx.Err() == nil {
@@ -446,36 +442,17 @@ func (s *Server) start(spec RunSpec) (*run, error) {
 // In-flight runs are NEVER evicted (cancelling live work to make room
 // would turn a burst into data loss), so the table can transiently
 // exceed the cap while every excess run is still executing; the
-// admission breaker is the backstop for that regime.
+// admission breaker is the backstop for that regime. Streams already
+// attached to an evicted run keep their run pointer and finish their
+// replay undisturbed; new lookups 404.
 func (s *Server) sweepRunsLocked() {
-	if ttl := s.cfg.RunTTL; ttl > 0 {
-		now := s.now()
-		for len(s.finished) > 0 && now.Sub(s.finished[0].at) >= ttl {
-			s.evictOldestLocked("ttl")
-		}
+	evicted := s.finished.Sweep(s.now(), s.cfg.RunTTL, s.cfg.MaxRuns, len(s.runs), func(id, reason string) {
+		delete(s.runs, id)
+		s.evictions.With("runtable", reason).Inc()
+	})
+	if evicted > 0 {
+		s.order = slices.DeleteFunc(s.order, func(id string) bool { return s.runs[id] == nil })
 	}
-	if max := s.cfg.MaxRuns; max > 0 {
-		for len(s.runs) > max && len(s.finished) > 0 {
-			s.evictOldestLocked("cap")
-		}
-	}
-}
-
-// evictOldestLocked removes the least recently finished run from the
-// table (Server.mu held) and counts the eviction. Streams already
-// attached keep their run pointer and finish their replay undisturbed;
-// new lookups 404.
-func (s *Server) evictOldestLocked(reason string) {
-	id := s.finished[0].id
-	s.finished = s.finished[1:]
-	delete(s.runs, id)
-	for i, oid := range s.order {
-		if oid == id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
-	s.evictions.With("runtable", reason).Inc()
 }
 
 // get looks up a run by ID, first sweeping the bounded table so a
