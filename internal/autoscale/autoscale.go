@@ -25,8 +25,6 @@ type Policy struct {
 	// Analyzer and Decision parameterize the pipeline stages.
 	Analyzer AnalyzerConfig
 	Decision DecisionConfig
-	// DrainWholeRacks lets scale-downs retire whole racks (see Scaler).
-	DrainWholeRacks bool
 }
 
 // Built-in policy names.
@@ -89,7 +87,7 @@ func NewController(p Policy, seed int64, reg *obs.Registry) *Controller {
 		policy:   p,
 		analyzer: newAnalyzer(p.Analyzer),
 		decider:  newDecider(p.Decision),
-		scaler:   newScaler(seed, p.DrainWholeRacks),
+		scaler:   newScaler(seed),
 		nextEval: p.Interval,
 	}
 	if reg != nil {

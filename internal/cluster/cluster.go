@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // JobID identifies a job. NoJob marks an idle GPU.
@@ -337,12 +336,6 @@ func (s *Schedule) NumGPUs() int { return len(s.slots) }
 // Slot returns the gene for GPU g.
 func (s *Schedule) Slot(g GPUID) Slot { return s.slots[g] }
 
-// Slots returns the genome's backing slice, one Slot per GPU in axis
-// order. Callers must treat it as read-only and must not retain it across
-// mutations; it exists so hot paths (the evolution scorer) can make one
-// pass over the genome without per-GPU method calls or copies.
-func (s *Schedule) Slots() []Slot { return s.slots }
-
 // SetSlot assigns GPU g to job j with local batch b. Passing NoJob (or a
 // non-positive batch) clears the slot.
 func (s *Schedule) SetSlot(g GPUID, j JobID, b int) {
@@ -389,54 +382,6 @@ func (s *Schedule) Equal(o *Schedule) bool {
 	return true
 }
 
-// GlobalBatch returns B_j = Σ_i b_j^i (Equation 2).
-func (s *Schedule) GlobalBatch(j JobID) int {
-	var b int
-	for _, sl := range s.slots {
-		if sl.Job == j {
-			b += sl.Batch
-		}
-	}
-	return b
-}
-
-// GPUCount returns c_j = Σ_i min(1, b_j^i) (Equation 2).
-func (s *Schedule) GPUCount(j JobID) int {
-	var c int
-	for _, sl := range s.slots {
-		if sl.Job == j {
-			c++
-		}
-	}
-	return c
-}
-
-// GPUsOf returns the GPUs currently assigned to job j, in index order.
-func (s *Schedule) GPUsOf(j JobID) []GPUID {
-	var gs []GPUID
-	for i, sl := range s.slots {
-		if sl.Job == j {
-			gs = append(gs, GPUID(i))
-		}
-	}
-	return gs
-}
-
-// RunningJobs returns the set of jobs with at least one GPU, in order of
-// first appearance on the GPU axis.
-func (s *Schedule) RunningJobs() []JobID {
-	seen := make(map[JobID]bool)
-	var jobs []JobID
-	for _, sl := range s.slots {
-		if sl.Idle() || seen[sl.Job] {
-			continue
-		}
-		seen[sl.Job] = true
-		jobs = append(jobs, sl.Job)
-	}
-	return jobs
-}
-
 // IsRunning reports whether job j holds at least one GPU.
 func (s *Schedule) IsRunning(j JobID) bool {
 	for _, sl := range s.slots {
@@ -471,14 +416,18 @@ func (s *Schedule) NumIdle() int {
 
 // AddServers grows the topology by n idle servers appended at the tail —
 // elastic scale-up, a repaired node rejoining, spot capacity restocked.
-// The new servers match the first server's GPU count and open a fresh
-// rack (they are new capacity, physically elsewhere). Existing
-// assignments are untouched. For explicit shapes use AddServerSpecs.
-func (s *Schedule) AddServers(n int) {
+// Each new server carries gpus GPUs (≤0 ⇒ the first server's count), and
+// together they open a fresh rack (they are new capacity, physically
+// elsewhere). Existing assignments are untouched. For explicit shapes use
+// AddServerSpecs.
+func (s *Schedule) AddServers(n, gpus int) {
 	if n <= 0 {
 		return
 	}
-	spec := ServerSpec{GPUs: s.topo.Servers[0].GPUs, Rack: s.topo.NextRack()}
+	if gpus <= 0 {
+		gpus = s.topo.Servers[0].GPUs
+	}
+	spec := ServerSpec{GPUs: gpus, Rack: s.topo.NextRack()}
 	specs := make([]ServerSpec, n)
 	for i := range specs {
 		specs[i] = spec
@@ -567,97 +516,25 @@ func (s *Schedule) Validate() error {
 	return nil
 }
 
-// Fragments returns the number of contiguous GPU spans occupied by job j.
-// A perfectly packed job has one fragment; the paper's reorder operator
-// exists to drive this number down (better locality, less cross-server
-// communication).
-func (s *Schedule) Fragments(j JobID) int {
-	var frags int
-	inRun := false
-	for _, sl := range s.slots {
-		if sl.Job == j {
-			if !inRun {
-				frags++
-				inRun = true
-			}
-		} else {
-			inRun = false
-		}
-	}
-	return frags
-}
-
-// ServersOf returns the number of distinct servers hosting job j. Jobs
-// spanning more servers pay higher communication cost in the performance
-// model.
-func (s *Schedule) ServersOf(j JobID) int {
-	n, idx := 0, 0
-	for _, spec := range s.topo.Servers {
-		for k := 0; k < spec.GPUs; k++ {
-			if s.slots[idx+k].Job == j {
-				n++
-				break
-			}
-		}
-		idx += spec.GPUs
-	}
-	return n
-}
-
-// reorderScratch carries Reorder's working storage between calls. Reorder
-// runs once per evolution candidate, so the map and the slot copy used to
-// dominate the engine's allocation profile; a pool caps them at one live
-// set per concurrent caller.
-type reorderScratch struct {
-	slots []Slot        // pre-reorder copy of the genome
-	next  map[JobID]int // job → next write index during the packing pass
-	order []JobID       // jobs in first-occurrence order
-}
-
-var reorderPool = sync.Pool{
-	New: func() any { return &reorderScratch{next: make(map[JobID]int)} },
-}
-
 // Reorder packs the workers of each job contiguously, in order of each
 // job's first occurrence, preserving every job's multiset of local batch
 // sizes (the paper's reorder operation, Figure 10). Idle slots are pushed
-// to the tail.
-func (s *Schedule) Reorder() {
-	sc := reorderPool.Get().(*reorderScratch)
-	defer reorderPool.Put(sc)
-	clear(sc.next)
-	sc.order = sc.order[:0]
-	// Pass 1: count each job's slots in first-occurrence order.
-	for _, sl := range s.slots {
-		if sl.Idle() {
-			continue
+// to the tail. d is working storage and is overwritten.
+func (s *Schedule) Reorder(d *Digest) {
+	d.Load(s)
+	// Each job's GPU list is ascending, so replaying the lists job by job
+	// from a copy of the old genome keeps every job's batches in slot
+	// order.
+	d.slots = append(d.slots[:0], s.slots...)
+	p := 0
+	for i := range d.Jobs {
+		for _, g := range d.Jobs[i].GPUIDs {
+			s.slots[p] = d.slots[g]
+			p++
 		}
-		if _, ok := sc.next[sl.Job]; !ok {
-			sc.order = append(sc.order, sl.Job)
-		}
-		sc.next[sl.Job]++
 	}
-	// Turn counts into write cursors: each job packs into one contiguous
-	// span starting where the previous job's span ends.
-	idx := 0
-	for _, j := range sc.order {
-		n := sc.next[j]
-		sc.next[j] = idx
-		idx += n
-	}
-	// Pass 2: replay the old genome, placing each slot at its job's cursor
-	// so every job keeps its batch multiset in slot order.
-	sc.slots = append(sc.slots[:0], s.slots...)
-	for _, sl := range sc.slots {
-		if sl.Idle() {
-			continue
-		}
-		p := sc.next[sl.Job]
-		s.slots[p] = sl
-		sc.next[sl.Job] = p + 1
-	}
-	for ; idx < len(s.slots); idx++ {
-		s.slots[idx] = Slot{Job: NoJob}
+	for ; p < len(s.slots); p++ {
+		s.slots[p] = Slot{Job: NoJob}
 	}
 }
 
@@ -688,28 +565,131 @@ func (s *Schedule) String() string {
 	return b.String()
 }
 
-// Allocation summarizes one job's share of a schedule.
-type Allocation struct {
-	Job         JobID
-	GPUs        int // c_j
-	GlobalBatch int // B_j
-	Servers     int
-	Fragments   int
+// Alloc is one running job's share of a schedule: the per-job view that
+// Equation 2 derives from the genome.
+type Alloc struct {
+	Job     JobID
+	GPUs    int     // c_j = Σ_i min(1, b_j^i)
+	Batch   int     // B_j = Σ_i b_j^i
+	Servers int     // distinct servers spanned; more pay more communication
+	GPUIDs  []GPUID // the job's GPUs in index order
+	lastSrv int     // Load state: the last server this job was seen on
 }
 
-// Allocations returns per-job summaries for all running jobs in first-
-// occurrence order.
-func (s *Schedule) Allocations() []Allocation {
-	jobs := s.RunningJobs()
-	as := make([]Allocation, 0, len(jobs))
-	for _, j := range jobs {
-		as = append(as, Allocation{
-			Job:         j,
-			GPUs:        s.GPUCount(j),
-			GlobalBatch: s.GlobalBatch(j),
-			Servers:     s.ServersOf(j),
-			Fragments:   s.Fragments(j),
-		})
+// Digest summarizes a schedule's per-job allocations in one pass over the
+// genome. It is the one place that view is computed: the evolution
+// operators and scorer, the simulator's deployment check and Reorder all
+// read a Digest instead of scanning the slots once per job. A Digest is
+// reusable working storage — once its buffers have grown, Load allocates
+// nothing — and the zero value is ready to use. It is not safe for
+// concurrent use.
+type Digest struct {
+	Jobs []Alloc // running jobs in first-occurrence order on the GPU axis
+	Idle []GPUID // idle GPUs in index order
+
+	idx   map[JobID]int // job → index into Jobs
+	at    []int         // per GPU: index into Jobs, or -1 when idle
+	gpus  []GPUID       // arena backing every Alloc's GPUIDs
+	slots []Slot        // Reorder's copy of the old genome
+}
+
+// Load digests s, replacing the previous contents.
+func (d *Digest) Load(s *Schedule) {
+	if d.idx == nil {
+		d.idx = make(map[JobID]int)
 	}
-	return as
+	clear(d.idx)
+	d.Jobs = d.Jobs[:0]
+	d.Idle = d.Idle[:0]
+	d.at = d.at[:0]
+	g := 0
+	for srv, spec := range s.topo.Servers {
+		for end := g + spec.GPUs; g < end; g++ {
+			sl := s.slots[g]
+			if sl.Idle() {
+				d.Idle = append(d.Idle, GPUID(g))
+				d.at = append(d.at, -1)
+				continue
+			}
+			i, ok := d.idx[sl.Job]
+			if !ok {
+				i = len(d.Jobs)
+				d.idx[sl.Job] = i
+				d.Jobs = append(d.Jobs, Alloc{Job: sl.Job, lastSrv: -1})
+			}
+			d.at = append(d.at, i)
+			a := &d.Jobs[i]
+			a.GPUs++
+			a.Batch += sl.Batch
+			// Slots are scanned server by server, so counting distinct
+			// servers only needs the last one this job appeared on.
+			if a.lastSrv != srv {
+				a.Servers++
+				a.lastSrv = srv
+			}
+		}
+	}
+	// Lay the GPU lists out back to back in one arena, then fill them in
+	// index order.
+	busy := len(d.at) - len(d.Idle)
+	if cap(d.gpus) < busy {
+		d.gpus = make([]GPUID, busy)
+	}
+	d.gpus = d.gpus[:busy]
+	off := 0
+	for i := range d.Jobs {
+		c := d.Jobs[i].GPUs
+		d.Jobs[i].GPUIDs = d.gpus[off : off : off+c]
+		off += c
+	}
+	for g, i := range d.at {
+		if i >= 0 {
+			a := &d.Jobs[i]
+			a.GPUIDs = append(a.GPUIDs, GPUID(g))
+		}
+	}
+}
+
+// Lookup returns job j's entry, or false when j holds no GPU. The pointer
+// is valid until the next Load or Update.
+func (d *Digest) Lookup(j JobID) (*Alloc, bool) {
+	i, ok := d.idx[j]
+	if !ok {
+		return nil, false
+	}
+	return &d.Jobs[i], true
+}
+
+// Update re-derives job j's entry from s, for a caller that has
+// reassigned only j's slots since Load (which must come first); a job new
+// to the digest is appended. Idle keeps describing the schedule as
+// loaded.
+func (d *Digest) Update(s *Schedule, j JobID) {
+	i, ok := d.idx[j]
+	if !ok {
+		i = len(d.Jobs)
+		d.idx[j] = i
+		d.Jobs = append(d.Jobs, Alloc{Job: j})
+	}
+	// The new GPU list goes at the arena's tail: every other entry's list
+	// keeps its storage even if the append moves the arena.
+	start := len(d.gpus)
+	a := Alloc{Job: j}
+	g := 0
+	for _, spec := range s.topo.Servers {
+		on := false
+		for end := g + spec.GPUs; g < end; g++ {
+			if sl := s.slots[g]; sl.Job == j {
+				a.GPUs++
+				a.Batch += sl.Batch
+				d.gpus = append(d.gpus, GPUID(g))
+				on = true
+			}
+		}
+		if on {
+			a.Servers++
+		}
+	}
+	a.GPUIDs = d.gpus[start:len(d.gpus):len(d.gpus)]
+	d.Jobs[i] = a
 }

@@ -33,7 +33,8 @@ func TestNewScheduleAllIdle(t *testing.T) {
 	if s.NumIdle() != 4 {
 		t.Fatalf("NumIdle = %d, want 4", s.NumIdle())
 	}
-	if len(s.RunningJobs()) != 0 {
+	var d Digest
+	if d.Load(s); len(d.Jobs) != 0 {
 		t.Error("fresh schedule should have no running jobs")
 	}
 	if err := s.Validate(); err != nil {
@@ -48,17 +49,17 @@ func TestSetSlotAndDerivedQuantities(t *testing.T) {
 	s.SetSlot(2, 2, 64)
 	s.SetSlot(5, 1, 256)
 
-	if got := s.GlobalBatch(1); got != 512 {
-		t.Errorf("GlobalBatch(1) = %d, want 512", got)
+	if got := alloc(s, 1).Batch; got != 512 {
+		t.Errorf("B_1 = %d, want 512", got)
 	}
-	if got := s.GPUCount(1); got != 3 {
-		t.Errorf("GPUCount(1) = %d, want 3", got)
+	if got := alloc(s, 1).GPUs; got != 3 {
+		t.Errorf("c_1 = %d, want 3", got)
 	}
-	if got := s.GPUCount(2); got != 1 {
-		t.Errorf("GPUCount(2) = %d, want 1", got)
+	if got := alloc(s, 2).GPUs; got != 1 {
+		t.Errorf("c_2 = %d, want 1", got)
 	}
-	if got := s.GlobalBatch(99); got != 0 {
-		t.Errorf("GlobalBatch(unknown) = %d, want 0", got)
+	if got := alloc(s, 99).Batch; got != 0 {
+		t.Errorf("B of unknown job = %d, want 0", got)
 	}
 	if got := s.NumIdle(); got != 4 {
 		t.Errorf("NumIdle = %d, want 4", got)
@@ -66,9 +67,9 @@ func TestSetSlotAndDerivedQuantities(t *testing.T) {
 	if !s.IsRunning(1) || s.IsRunning(99) {
 		t.Error("IsRunning wrong")
 	}
-	gpus := s.GPUsOf(1)
+	gpus := alloc(s, 1).GPUIDs
 	if len(gpus) != 3 || gpus[0] != 0 || gpus[1] != 1 || gpus[2] != 5 {
-		t.Errorf("GPUsOf(1) = %v", gpus)
+		t.Errorf("GPUIDs of job 1 = %v", gpus)
 	}
 }
 
@@ -94,14 +95,15 @@ func TestRunningJobsOrderOfFirstAppearance(t *testing.T) {
 	s.SetSlot(1, 3, 1)
 	s.SetSlot(2, 7, 1)
 	s.SetSlot(4, 5, 1)
-	jobs := s.RunningJobs()
+	var d Digest
+	d.Load(s)
 	want := []JobID{7, 3, 5}
-	if len(jobs) != len(want) {
-		t.Fatalf("RunningJobs = %v, want %v", jobs, want)
+	if len(d.Jobs) != len(want) {
+		t.Fatalf("digest jobs = %+v, want %v", d.Jobs, want)
 	}
 	for i := range want {
-		if jobs[i] != want[i] {
-			t.Fatalf("RunningJobs = %v, want %v", jobs, want)
+		if d.Jobs[i].Job != want[i] {
+			t.Fatalf("digest jobs = %+v, want %v", d.Jobs, want)
 		}
 	}
 }
@@ -128,10 +130,10 @@ func TestEvict(t *testing.T) {
 func TestAddServersAppendsIdleCapacity(t *testing.T) {
 	s := NewSchedule(Uniform(2, 4))
 	s.SetSlot(0, 1, 8)
-	s.AddServers(2)
+	s.AddServers(2, 0)
 	got := s.Topology()
 	if got.NumServers() != 4 || got.TotalGPUs() != 16 {
-		t.Fatalf("topology after AddServers(2) = %+v", got)
+		t.Fatalf("topology after AddServers(2, 0) = %+v", got)
 	}
 	// Joined servers match the first server's GPU count and open a fresh
 	// rack — new capacity is a new failure domain.
@@ -149,10 +151,16 @@ func TestAddServersAppendsIdleCapacity(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Error(err)
 	}
-	s.AddServers(0)
-	s.AddServers(-3)
+	s.AddServers(0, 4)
+	s.AddServers(-3, 0)
 	if s.Topology().NumServers() != 4 {
 		t.Error("non-positive AddServers changed the topology")
+	}
+	// An explicit GPU count overrides the first server's, in the next
+	// fresh rack.
+	s.AddServers(1, 8)
+	if got := s.Topology().Servers[4]; got != (ServerSpec{GPUs: 8, Rack: 2}) {
+		t.Errorf("joined server = %+v, want 8 GPUs in rack 2", got)
 	}
 }
 
@@ -173,14 +181,14 @@ func TestRemoveServerEvictsOnlyItsJobsAndShifts(t *testing.T) {
 	}
 	// Job 1 untouched; job 3 shifted down one server but intact; job 2
 	// keeps its surviving slot (the caller evicts the remainder).
-	if s.GPUCount(1) != 2 || s.GlobalBatch(1) != 16 {
-		t.Errorf("job 1 disturbed: c=%d B=%d", s.GPUCount(1), s.GlobalBatch(1))
+	if a := alloc(s, 1); a.GPUs != 2 || a.Batch != 16 {
+		t.Errorf("job 1 disturbed: c=%d B=%d", a.GPUs, a.Batch)
 	}
-	if s.GPUCount(3) != 1 || s.ServersOf(3) != 1 {
-		t.Errorf("job 3 lost slots: c=%d", s.GPUCount(3))
+	if a := alloc(s, 3); a.GPUs != 1 || a.Servers != 1 {
+		t.Errorf("job 3 lost slots: c=%d", a.GPUs)
 	}
-	if s.GPUCount(2) != 1 {
-		t.Errorf("job 2 surviving slots = %d, want 1", s.GPUCount(2))
+	if a := alloc(s, 2); a.GPUs != 1 {
+		t.Errorf("job 2 surviving slots = %d, want 1", a.GPUs)
 	}
 	if err := s.Validate(); err != nil {
 		t.Error(err)
@@ -238,17 +246,17 @@ func TestFragmentsAndServers(t *testing.T) {
 	// Job 2 on GPUs 3 and 5 (two fragments, two servers).
 	s.SetSlot(3, 2, 1)
 	s.SetSlot(5, 2, 1)
-	if got := s.Fragments(1); got != 1 {
-		t.Errorf("Fragments(1) = %d, want 1", got)
+	if got := refFragments(s, 1); got != 1 {
+		t.Errorf("fragments of job 1 = %d, want 1", got)
 	}
-	if got := s.Fragments(2); got != 2 {
-		t.Errorf("Fragments(2) = %d, want 2", got)
+	if got := refFragments(s, 2); got != 2 {
+		t.Errorf("fragments of job 2 = %d, want 2", got)
 	}
-	if got := s.ServersOf(1); got != 1 {
-		t.Errorf("ServersOf(1) = %d, want 1", got)
+	if got := alloc(s, 1).Servers; got != 1 {
+		t.Errorf("servers of job 1 = %d, want 1", got)
 	}
-	if got := s.ServersOf(2); got != 2 {
-		t.Errorf("ServersOf(2) = %d, want 2", got)
+	if got := alloc(s, 2).Servers; got != 2 {
+		t.Errorf("servers of job 2 = %d, want 2", got)
 	}
 }
 
@@ -262,7 +270,7 @@ func TestReorderPacksByFirstOccurrence(t *testing.T) {
 	for i, v := range vals {
 		s.SetSlot(GPUID(i), v.j, v.b)
 	}
-	s.Reorder()
+	s.Reorder(new(Digest))
 	wantJobs := []JobID{3, 1, 1, 2, 2, 2}
 	for i, w := range wantJobs {
 		if got := s.Slot(GPUID(i)).Job; got != w {
@@ -270,8 +278,8 @@ func TestReorderPacksByFirstOccurrence(t *testing.T) {
 		}
 	}
 	for _, j := range []JobID{1, 2, 3} {
-		if got := s.Fragments(j); got != 1 {
-			t.Errorf("after Reorder Fragments(%d) = %d, want 1", j, got)
+		if got := refFragments(s, j); got != 1 {
+			t.Errorf("after Reorder job %d has %d fragments, want 1", j, got)
 		}
 	}
 }
@@ -293,23 +301,25 @@ func TestReorderPreservesPerJobTotalsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		s := randomSchedule(rng)
+		var d Digest
+		d.Load(s)
 		before := make(map[JobID][2]int)
-		for _, j := range s.RunningJobs() {
-			before[j] = [2]int{s.GlobalBatch(j), s.GPUCount(j)}
+		for _, a := range d.Jobs {
+			before[a.Job] = [2]int{a.Batch, a.GPUs}
 		}
 		idleBefore := s.NumIdle()
-		s.Reorder()
+		s.Reorder(&d)
 		if s.Validate() != nil || s.NumIdle() != idleBefore {
 			return false
 		}
 		for j, w := range before {
-			if s.GlobalBatch(j) != w[0] || s.GPUCount(j) != w[1] {
+			if a := alloc(s, j); a.Batch != w[0] || a.GPUs != w[1] {
 				return false
 			}
 		}
 		// Every running job must be contiguous after reorder.
-		for _, j := range s.RunningJobs() {
-			if s.Fragments(j) != 1 {
+		for _, j := range refRunningJobs(s) {
+			if refFragments(s, j) != 1 {
 				return false
 			}
 		}
@@ -325,9 +335,11 @@ func TestGlobalBatchEqualsSumOfSlotsProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		s := randomSchedule(rng)
 		// Sum of per-job global batches equals sum over all slots.
+		var d Digest
+		d.Load(s)
 		var total int
-		for _, j := range s.RunningJobs() {
-			total += s.GlobalBatch(j)
+		for _, a := range d.Jobs {
+			total += a.Batch
 		}
 		var slotSum int
 		for g := 0; g < s.NumGPUs(); g++ {
@@ -335,8 +347,8 @@ func TestGlobalBatchEqualsSumOfSlotsProperty(t *testing.T) {
 		}
 		// And GPU counts partition the non-idle slots.
 		var cSum int
-		for _, j := range s.RunningJobs() {
-			cSum += s.GPUCount(j)
+		for _, a := range d.Jobs {
+			cSum += a.GPUs
 		}
 		return total == slotSum && cSum == s.NumGPUs()-s.NumIdle()
 	}
@@ -360,15 +372,17 @@ func TestAllocations(t *testing.T) {
 	s.SetSlot(0, 5, 16)
 	s.SetSlot(1, 5, 16)
 	s.SetSlot(2, 9, 64)
-	as := s.Allocations()
+	var d Digest
+	d.Load(s)
+	as := d.Jobs
 	if len(as) != 2 {
-		t.Fatalf("Allocations len = %d, want 2", len(as))
+		t.Fatalf("digest has %d jobs, want 2", len(as))
 	}
-	if as[0].Job != 5 || as[0].GPUs != 2 || as[0].GlobalBatch != 32 || as[0].Servers != 1 {
-		t.Errorf("Allocations[0] = %+v", as[0])
+	if as[0].Job != 5 || as[0].GPUs != 2 || as[0].Batch != 32 || as[0].Servers != 1 {
+		t.Errorf("digest job 0 = %+v", as[0])
 	}
-	if as[1].Job != 9 || as[1].GPUs != 1 || as[1].GlobalBatch != 64 {
-		t.Errorf("Allocations[1] = %+v", as[1])
+	if as[1].Job != 9 || as[1].GPUs != 1 || as[1].Batch != 64 {
+		t.Errorf("digest job 1 = %+v", as[1])
 	}
 }
 

@@ -165,10 +165,10 @@ func TestRaggedScheduleStringAndServersOf(t *testing.T) {
 	if got, want := s.String(), "[1:8 -] [1:8 2:4 -]"; got != want {
 		t.Errorf("String = %q, want %q", got, want)
 	}
-	if got := s.ServersOf(1); got != 2 {
-		t.Errorf("ServersOf(1) = %d, want 2", got)
+	if got := alloc(s, 1).Servers; got != 2 {
+		t.Errorf("servers of job 1 = %d, want 2", got)
 	}
-	if got := s.ServersOf(2); got != 1 {
-		t.Errorf("ServersOf(2) = %d, want 1", got)
+	if got := alloc(s, 2).Servers; got != 1 {
+		t.Errorf("servers of job 2 = %d, want 1", got)
 	}
 }

@@ -54,13 +54,9 @@ func (g *Group) Comm(rank int) (*Comm, error) {
 // collective operations in the same order (standard SPMD contract); the
 // implementation deadlocks otherwise, like a real collective library.
 type Comm struct {
-	g    *Comm0
+	g    *Group
 	rank int
 }
-
-// Comm0 aliases Group internally (kept separate so the public surface
-// stays small).
-type Comm0 = Group
 
 // Rank returns this endpoint's rank.
 func (c *Comm) Rank() int { return c.rank }

@@ -178,105 +178,16 @@ func remainingWork(info *JobInfo, rho float64) float64 {
 	return processed * (1/rho - 1)
 }
 
-// loadMode selects how much of the genome evalScratch.load digests.
-const (
-	loadAggs = iota // per-job aggregates only (Score)
-	loadIdle        // aggregates + the idle GPU list (fill)
-	loadGPUs        // aggregates + idle + per-job GPU lists (normalize)
-)
-
-// jobAgg summarizes one running job's placement: the (c_j, B_j, servers)
-// triple Equation 2 derives from the genome, computed in one pass instead
-// of one full slot scan per query.
-type jobAgg struct {
-	id      cluster.JobID
-	c       int // GPU count c_j
-	B       int // global batch B_j
-	servers int // distinct servers spanned
-	lastSrv int // load state: last server index this job was seen on
-	gpuOff  int // offset of this job's GPU list in evalScratch.gpus
-	cur     int // load state: next write position in the GPU list
-}
-
-// evalScratch holds the reusable buffers for evaluating one candidate
-// schedule. The operators and Score used to interrogate genomes through
-// per-job O(cluster) scans (RunningJobs, GPUCount, GlobalBatch, ServersOf,
-// GPUsOf, IdleGPUs) that dominated the engine's profile; load digests the
-// genome once and the operators read these aggregates instead.
+// evalScratch holds the reusable buffers for generating and scoring one
+// candidate: the schedule digest the operators and Score read instead of
+// scanning the genome once per job, and fill's per-assignment GPU list.
 type evalScratch struct {
-	idx  map[cluster.JobID]int // job → index into aggs
-	aggs []jobAgg              // running jobs in first-occurrence order
-	gpus []cluster.GPUID       // arena backing the per-job GPU lists
-	idle []cluster.GPUID       // idle GPUs in index order
-	buf  []cluster.GPUID       // fill's per-assignment GPU gather list
+	d   cluster.Digest
+	buf []cluster.GPUID
 }
 
 var scratchPool = sync.Pool{
-	New: func() any { return &evalScratch{idx: make(map[cluster.JobID]int)} },
-}
-
-// load digests schedule s: per-job aggregates in first-occurrence order,
-// plus — by mode — the idle list and per-job GPU index lists (ascending
-// within each job, exactly as GPUsOf reports them).
-func (sc *evalScratch) load(s *cluster.Schedule, mode int) {
-	clear(sc.idx)
-	sc.aggs = sc.aggs[:0]
-	sc.idle = sc.idle[:0]
-	slots := s.Slots()
-	topo := s.Topology()
-	g := 0
-	for srv := range topo.Servers {
-		for end := g + topo.Servers[srv].GPUs; g < end; g++ {
-			sl := slots[g]
-			if sl.Idle() {
-				if mode >= loadIdle {
-					sc.idle = append(sc.idle, cluster.GPUID(g))
-				}
-				continue
-			}
-			i, ok := sc.idx[sl.Job]
-			if !ok {
-				i = len(sc.aggs)
-				sc.idx[sl.Job] = i
-				sc.aggs = append(sc.aggs, jobAgg{id: sl.Job, lastSrv: -1})
-			}
-			a := &sc.aggs[i]
-			a.c++
-			a.B += sl.Batch
-			// Slots are scanned server by server, so counting distinct
-			// servers only needs the last one this job appeared on.
-			if a.lastSrv != srv {
-				a.servers++
-				a.lastSrv = srv
-			}
-		}
-	}
-	if mode < loadGPUs {
-		return
-	}
-	total := 0
-	for i := range sc.aggs {
-		sc.aggs[i].gpuOff = total
-		sc.aggs[i].cur = total
-		total += sc.aggs[i].c
-	}
-	if cap(sc.gpus) < total {
-		sc.gpus = make([]cluster.GPUID, total)
-	}
-	sc.gpus = sc.gpus[:total]
-	for g, sl := range slots {
-		if sl.Idle() {
-			continue
-		}
-		a := &sc.aggs[sc.idx[sl.Job]]
-		sc.gpus[a.cur] = cluster.GPUID(g)
-		a.cur++
-	}
-}
-
-// gpusOf returns job a's GPU list from the arena (load mode loadGPUs).
-func (sc *evalScratch) gpusOf(a *jobAgg) []cluster.GPUID {
-	return sc.gpus[a.gpuOff : a.gpuOff+a.c]
+	New: func() any { return new(evalScratch) },
 }
 
 // Score computes the SRUF objective of Equation 8 for schedule s:
@@ -294,25 +205,25 @@ func (sc *evalScratch) gpusOf(a *jobAgg) []cluster.GPUID {
 func Score(s *cluster.Schedule, ctx *Context, rhos map[cluster.JobID]float64) float64 {
 	sc := scratchPool.Get().(*evalScratch)
 	defer scratchPool.Put(sc)
-	sc.load(s, loadAggs)
+	sc.d.Load(s)
 	var total float64
 	used := 0
-	for i := range sc.aggs {
-		a := &sc.aggs[i]
-		info, ok := ctx.Jobs[a.id]
+	for i := range sc.d.Jobs {
+		a := &sc.d.Jobs[i]
+		info, ok := ctx.Jobs[a.Job]
 		if !ok {
 			continue // completed job still in genome; refresh will clean it
 		}
-		x := ctx.throughput(a.id, a.B, a.c, a.servers)
+		x := ctx.throughput(a.Job, a.Batch, a.GPUs, a.Servers)
 		if x <= 0 {
 			return math.Inf(1)
 		}
-		rho, ok := rhos[a.id]
+		rho, ok := rhos[a.Job]
 		if !ok || rho <= 0 {
 			rho = 0.5
 		}
-		used += a.c
-		total += remainingWork(info, rho) * float64(a.c) / x
+		used += a.GPUs
+		total += remainingWork(info, rho) * float64(a.GPUs) / x
 	}
 	if used > 0 {
 		total *= float64(s.NumGPUs()) / float64(used)
@@ -349,21 +260,21 @@ func assign(s *cluster.Schedule, info *JobInfo, gpus []cluster.GPUID, B int) int
 
 // normalize removes completed jobs from s and enforces R_j: any job with
 // B_j > R_j is scaled down by c_j − ⌊R_j·c_j/B_j⌋ GPUs (the paper's refresh
-// step 2) and its batch reassigned within the limit. The aggregates are
+// step 2) and its batch reassigned within the limit. The digest is
 // loaded once up front: each job's correction touches only its own slots,
 // so the other entries stay valid as the loop mutates s.
 func normalize(s *cluster.Schedule, ctx *Context, sc *evalScratch) {
-	sc.load(s, loadGPUs)
-	for i := range sc.aggs {
-		a := &sc.aggs[i]
-		info, ok := ctx.Jobs[a.id]
+	sc.d.Load(s)
+	for i := range sc.d.Jobs {
+		a := &sc.d.Jobs[i]
+		info, ok := ctx.Jobs[a.Job]
 		if !ok {
-			s.Evict(a.id)
+			s.Evict(a.Job)
 			continue
 		}
-		gpus := sc.gpusOf(a)
-		B := a.B
-		c := a.c
+		gpus := a.GPUIDs
+		B := a.Batch
+		c := a.GPUs
 		target := B
 		keep := c
 		if info.Limit < B {
@@ -410,37 +321,23 @@ type fillOption struct {
 // B ≥ c, so every idle GPU an option consumes receives a positive batch
 // and the remaining idle set is exactly the unconsumed suffix.
 func fill(s *cluster.Schedule, ctx *Context, sc *evalScratch) {
-	sc.load(s, loadIdle)
-	idle := sc.idle
+	sc.d.Load(s)
+	idle := sc.d.Idle
 	for len(idle) > 0 {
-		opt, ok := bestFillOption(ctx, sc, len(idle))
+		opt, ok := bestFillOption(ctx, &sc.d, len(idle))
 		if !ok {
 			return
 		}
-		info := ctx.Jobs[opt.job]
-		// Gather the job's current GPUs (index order) followed by the
-		// consumed idle prefix — the same list the per-query scans built.
+		// The job's current GPUs (index order) followed by the consumed
+		// idle prefix.
 		sc.buf = sc.buf[:0]
-		if i, ok := sc.idx[opt.job]; ok && sc.aggs[i].c > 0 {
-			for g, sl := range s.Slots() {
-				if sl.Job == opt.job {
-					sc.buf = append(sc.buf, cluster.GPUID(g))
-				}
-			}
+		if a, ok := sc.d.Lookup(opt.job); ok {
+			sc.buf = append(sc.buf, a.GPUIDs...)
 		}
 		sc.buf = append(sc.buf, idle[:opt.gpus]...)
-		B := assign(s, info, sc.buf, opt.batch)
-		// Refresh the job's aggregate in place; no other job's slots moved.
-		i, ok := sc.idx[opt.job]
-		if !ok {
-			i = len(sc.aggs)
-			sc.idx[opt.job] = i
-			sc.aggs = append(sc.aggs, jobAgg{id: opt.job})
-		}
-		a := &sc.aggs[i]
-		a.c = len(sc.buf)
-		a.B = B
-		a.servers = s.ServersOf(opt.job)
+		assign(s, ctx.Jobs[opt.job], sc.buf, opt.batch)
+		// Refresh the job's entry in place; no other job's slots moved.
+		sc.d.Update(s, opt.job)
 		idle = idle[opt.gpus:]
 	}
 }
@@ -448,12 +345,12 @@ func fill(s *cluster.Schedule, ctx *Context, sc *evalScratch) {
 // bestFillOption returns the next fill action: the waiting job with the
 // least sampled remaining work if any can start, else the growth with the
 // largest sampled gain.
-func bestFillOption(ctx *Context, sc *evalScratch, idle int) (fillOption, bool) {
+func bestFillOption(ctx *Context, d *cluster.Digest, idle int) (fillOption, bool) {
 	var bestResume, bestGrow fillOption
 	var haveResume, haveGrow bool
 	for _, id := range ctx.jobIDs() {
 		info := ctx.Jobs[id]
-		opt, ok := expandOption(ctx, sc, info, idle)
+		opt, ok := expandOption(ctx, d, info, idle)
 		if !ok {
 			continue
 		}
@@ -477,13 +374,12 @@ func bestFillOption(ctx *Context, sc *evalScratch, idle int) (fillOption, bool) 
 	return bestGrow, haveGrow
 }
 
-// expandOption builds the expansion candidate for one job from the loaded
-// aggregates, or reports false when the job cannot use more resources.
-func expandOption(ctx *Context, sc *evalScratch, info *JobInfo, idle int) (fillOption, bool) {
+// expandOption builds the expansion candidate for one job from the
+// digest, or reports false when the job cannot use more resources.
+func expandOption(ctx *Context, d *cluster.Digest, info *JobInfo, idle int) (fillOption, bool) {
 	var c, B, servers int
-	if i, ok := sc.idx[info.ID]; ok {
-		a := &sc.aggs[i]
-		c, B, servers = a.c, a.B, a.servers
+	if a, ok := d.Lookup(info.ID); ok {
+		c, B, servers = a.GPUs, a.Batch, a.Servers
 	}
 	if c == 0 {
 		// Waiting job: resume on one GPU within its limit. Its added
@@ -552,7 +448,7 @@ func Refresh(s *cluster.Schedule, ctx *Context) *cluster.Schedule {
 func refreshWith(s *cluster.Schedule, ctx *Context, clone cloneFunc, sc *evalScratch) *cluster.Schedule {
 	out := clone(s)
 	normalize(out, ctx, sc)
-	allocateNewJobs(out, ctx)
+	allocateNewJobs(out, ctx, &sc.d)
 	fill(out, ctx, sc)
 	return out
 }
@@ -560,11 +456,12 @@ func refreshWith(s *cluster.Schedule, ctx *Context, clone cloneFunc, sc *evalScr
 // allocateNewJobs gives each never-scheduled job one GPU (refresh step 3).
 // When too few GPUs are idle, GPUs are taken from the jobs with the
 // largest T_processed to avoid starving new arrivals.
-func allocateNewJobs(s *cluster.Schedule, ctx *Context) {
+func allocateNewJobs(s *cluster.Schedule, ctx *Context, d *cluster.Digest) {
+	d.Load(s)
 	var pending []*JobInfo
 	for _, id := range ctx.NewJobs {
 		info, ok := ctx.Jobs[id]
-		if !ok || s.IsRunning(id) {
+		if _, running := d.Lookup(id); !ok || running {
 			continue
 		}
 		pending = append(pending, info)
@@ -572,60 +469,56 @@ func allocateNewJobs(s *cluster.Schedule, ctx *Context) {
 	if len(pending) == 0 {
 		return
 	}
-	need := len(pending) - s.NumIdle()
-	for need > 0 {
-		victim := longestRunning(s, ctx)
-		if victim == cluster.NoJob {
+	for need := len(pending) - len(d.Idle); need > 0; need-- {
+		victim := longestRunning(d, ctx)
+		if victim == nil {
 			break
 		}
 		shrinkByOne(s, ctx, victim)
-		need--
+		d.Load(s)
 	}
-	idle := s.IdleGPUs()
 	for i, info := range pending {
-		if i >= len(idle) {
+		if i >= len(d.Idle) {
 			break
 		}
 		batch := info.effLimit()
 		if batch > info.MaxPerGPU {
 			batch = info.MaxPerGPU
 		}
-		assign(s, info, idle[i:i+1], batch)
+		assign(s, info, d.Idle[i:i+1], batch)
 	}
 }
 
 // longestRunning returns the running job with the largest processed time,
-// or NoJob when the schedule is empty.
-func longestRunning(s *cluster.Schedule, ctx *Context) cluster.JobID {
-	best := cluster.NoJob
+// or nil when the schedule is empty.
+func longestRunning(d *cluster.Digest, ctx *Context) *cluster.Alloc {
+	var best *cluster.Alloc
 	var bestT float64 = -1
-	for _, j := range s.RunningJobs() {
-		info, ok := ctx.Jobs[j]
+	for i := range d.Jobs {
+		info, ok := ctx.Jobs[d.Jobs[i].Job]
 		if !ok {
 			continue
 		}
 		if info.ProcessedTime > bestT {
 			bestT = info.ProcessedTime
-			best = j
+			best = &d.Jobs[i]
 		}
 	}
 	return best
 }
 
-// shrinkByOne removes one GPU from job j, re-spreading its batch; a
+// shrinkByOne removes one GPU from job a, re-spreading its batch; a
 // single-GPU job is evicted entirely (it becomes waiting).
-func shrinkByOne(s *cluster.Schedule, ctx *Context, j cluster.JobID) {
-	gpus := s.GPUsOf(j)
+func shrinkByOne(s *cluster.Schedule, ctx *Context, a *cluster.Alloc) {
+	gpus := a.GPUIDs
 	if len(gpus) <= 1 {
-		s.Evict(j)
+		s.Evict(a.Job)
 		return
 	}
-	info := ctx.Jobs[j]
-	B := s.GlobalBatch(j)
 	keep := gpus[:len(gpus)-1]
 	s.Clear(gpus[len(gpus)-1])
-	newB := B * len(keep) / len(gpus)
-	assign(s, info, keep, newB)
+	newB := a.Batch * len(keep) / len(gpus)
+	assign(s, ctx.Jobs[a.Job], keep, newB)
 }
 
 // Crossover performs the uniform crossover of Figure 8 on clones of the
@@ -667,10 +560,10 @@ func Mutate(s *cluster.Schedule, ctx *Context, theta float64) *cluster.Schedule 
 
 func mutateWith(s *cluster.Schedule, ctx *Context, theta float64, clone cloneFunc, sc *evalScratch) *cluster.Schedule {
 	out := clone(s)
-	sc.load(out, loadAggs)
-	for i := range sc.aggs {
+	sc.d.Load(out)
+	for i := range sc.d.Jobs {
 		if ctx.Rng.Float64() < theta {
-			out.Evict(sc.aggs[i].id)
+			out.Evict(sc.d.Jobs[i].Job)
 		}
 	}
 	normalize(out, ctx, sc)
@@ -836,9 +729,9 @@ func (e *Engine) Iterate(ctx *Context) *cluster.Schedule {
 			candidates[t.outA] = mutateWith(t.a, &sub, e.Theta, clone, sc)
 		}
 		if !e.DisableReorder {
-			candidates[t.outA].Reorder()
+			candidates[t.outA].Reorder(&sc.d)
 			if t.kind == 1 {
-				candidates[t.outB].Reorder()
+				candidates[t.outB].Reorder(&sc.d)
 			}
 		}
 		scratchPool.Put(sc)

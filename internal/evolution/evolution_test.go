@@ -41,20 +41,37 @@ func testCtx(seed int64, n int, topo cluster.Topology) *Context {
 	}
 }
 
+// digest returns a fresh digest of s.
+func digest(s *cluster.Schedule) *cluster.Digest {
+	d := new(cluster.Digest)
+	d.Load(s)
+	return d
+}
+
+// alloc returns job j's digest entry in s, or the zero entry (no GPUs)
+// when j is not running.
+func alloc(s *cluster.Schedule, j cluster.JobID) cluster.Alloc {
+	if a, ok := digest(s).Lookup(j); ok {
+		return *a
+	}
+	return cluster.Alloc{Job: j}
+}
+
 func validateLimits(t *testing.T, s *cluster.Schedule, ctx *Context) {
 	t.Helper()
 	if err := s.Validate(); err != nil {
 		t.Fatalf("invalid schedule: %v", err)
 	}
-	for _, j := range s.RunningJobs() {
+	for _, a := range digest(s).Jobs {
+		j := a.Job
 		info, ok := ctx.Jobs[j]
 		if !ok {
 			t.Fatalf("completed job %d still scheduled", j)
 		}
-		if B := s.GlobalBatch(j); B > info.Limit {
+		if B := a.Batch; B > info.Limit {
 			t.Fatalf("job %d batch %d exceeds limit %d", j, B, info.Limit)
 		}
-		for _, g := range s.GPUsOf(j) {
+		for _, g := range a.GPUIDs {
 			if b := s.Slot(g).Batch; b > info.MaxPerGPU {
 				t.Fatalf("job %d local batch %d exceeds GPU memory %d", j, b, info.MaxPerGPU)
 			}
@@ -70,7 +87,7 @@ func TestRefreshFillsEmptyCluster(t *testing.T) {
 	if s.NumIdle() != 0 {
 		t.Errorf("refresh left %d idle GPUs with 6 hungry jobs", s.NumIdle())
 	}
-	if len(s.RunningJobs()) == 0 {
+	if len(digest(s).Jobs) == 0 {
 		t.Error("refresh scheduled nothing")
 	}
 }
@@ -99,7 +116,7 @@ func TestRefreshEnforcesLimit(t *testing.T) {
 	}
 	out := Refresh(s, ctx)
 	validateLimits(t, out, ctx)
-	if B := out.GlobalBatch(0); B > 256 {
+	if B := alloc(out, 0).Batch; B > 256 {
 		t.Errorf("limit not enforced: B = %d", B)
 	}
 }
@@ -137,7 +154,7 @@ func TestRefreshTakesFromLongestRunningJob(t *testing.T) {
 		s.SetSlot(cluster.GPUID(g), cluster.JobID(g), 256)
 	}
 	out := Refresh(s, ctx)
-	if out.IsRunning(2) && out.GPUCount(2) >= 1 && !out.IsRunning(4) {
+	if out.IsRunning(2) && alloc(out, 2).GPUs >= 1 && !out.IsRunning(4) {
 		t.Error("new job should displace the longest-running job")
 	}
 }
@@ -180,9 +197,9 @@ func TestMutateThetaZeroKeepsAssignmentsStable(t *testing.T) {
 	m := Mutate(s, ctx, 0)
 	// With θ=0 no eviction happens; normalize/fill of an already feasible
 	// full schedule must not change job placement.
-	for _, j := range s.RunningJobs() {
-		if m.GPUCount(j) != s.GPUCount(j) {
-			t.Errorf("θ=0 mutation changed job %d GPU count", j)
+	for _, a := range digest(s).Jobs {
+		if alloc(m, a.Job).GPUs != a.GPUs {
+			t.Errorf("θ=0 mutation changed job %d GPU count", a.Job)
 		}
 	}
 }
@@ -330,12 +347,12 @@ func TestRefreshInvariantsProperty(t *testing.T) {
 		if s.Validate() != nil {
 			return false
 		}
-		for _, j := range s.RunningJobs() {
-			info := ctx.Jobs[j]
-			if s.GlobalBatch(j) > info.Limit {
+		for _, a := range digest(s).Jobs {
+			info := ctx.Jobs[a.Job]
+			if a.Batch > info.Limit {
 				return false
 			}
-			for _, g := range s.GPUsOf(j) {
+			for _, g := range a.GPUIDs {
 				if s.Slot(g).Batch > info.MaxPerGPU {
 					return false
 				}
@@ -357,8 +374,8 @@ func TestEngineChampionInvariantsProperty(t *testing.T) {
 		if best.Validate() != nil {
 			return false
 		}
-		for _, j := range best.RunningJobs() {
-			if best.GlobalBatch(j) > ctx.Jobs[j].Limit {
+		for _, a := range digest(best).Jobs {
+			if a.Batch > ctx.Jobs[a.Job].Limit {
 				return false
 			}
 		}

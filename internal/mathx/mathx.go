@@ -76,12 +76,6 @@ func BetaLogPDF(x, a, b float64) float64 {
 // BetaMean returns the mean a/(a+b) of a Beta(a, b) distribution.
 func BetaMean(a, b float64) float64 { return a / (a + b) }
 
-// BetaVariance returns the variance of a Beta(a, b) distribution.
-func BetaVariance(a, b float64) float64 {
-	s := a + b
-	return a * b / (s * s * (s + 1))
-}
-
 // RegIncBeta returns the regularized incomplete beta function I_x(a, b),
 // which is the CDF of the Beta(a, b) distribution at x. It uses the
 // continued-fraction expansion from Numerical Recipes (betacf).

@@ -54,7 +54,7 @@ func TestONESFirstDecisionDeploysNewJob(t *testing.T) {
 		t.Errorf("new job not scheduled: %v", s)
 	}
 	// Start policy: a fresh job must fit a single GPU.
-	if got := s.GPUCount(0); got != 1 {
+	if got := alloc(s, 0).GPUs; got != 1 {
 		t.Errorf("fresh job got %d GPUs, Start policy says 1", got)
 	}
 	if o.Stats.Decisions != 1 || o.Stats.Deployments != 1 {
@@ -76,8 +76,8 @@ func TestONESLimitDoublesAfterEpochs(t *testing.T) {
 	// Simulate two completed epochs of the running job with short exec
 	// time (no convoy penalty): the limit should double each epoch.
 	jv.Running = true
-	jv.GPUs = dep.GPUCount(0)
-	jv.Batch = dep.GlobalBatch(0)
+	jv.GPUs = alloc(dep, 0).GPUs
+	jv.Batch = alloc(dep, 0).Batch
 	start := o.jobs[0].limit
 	jv.WallEpochs = 1
 	jv.ExecTime = 10
@@ -132,8 +132,8 @@ func TestONESEpochGateBlocksMidEpochRedeploys(t *testing.T) {
 	jv := sampleJobView(0)
 	dep := o.Decide(simulator.TriggerArrival, makeView(0, topo, []simulator.JobView{jv}, nil))
 	jv.Running = true
-	jv.GPUs = dep.GPUCount(0)
-	jv.Batch = dep.GlobalBatch(0)
+	jv.GPUs = alloc(dep, 0).GPUs
+	jv.Batch = alloc(dep, 0).Batch
 	jv.WallEpochs = 0.4 // mid-epoch
 	before := o.Stats.GatedByEpochs
 	if got := o.Decide(simulator.TriggerEpochEnd, makeView(5, topo, []simulator.JobView{jv}, dep)); got != nil {
@@ -184,7 +184,7 @@ func (w *preemptionWatcher) Decide(tr simulator.Trigger, v *simulator.View) *clu
 			alive[j.ID] = true
 		}
 		for id, had := range w.alloc {
-			if alive[id] && had > 0 && s.GPUCount(id) == 0 {
+			if alive[id] && had > 0 && alloc(s, id).GPUs == 0 {
 				w.preempted = true
 			}
 		}
@@ -192,7 +192,7 @@ func (w *preemptionWatcher) Decide(tr simulator.Trigger, v *simulator.View) *clu
 			delete(w.alloc, id)
 		}
 		for _, j := range v.Jobs {
-			w.alloc[j.ID] = s.GPUCount(j.ID)
+			w.alloc[j.ID] = alloc(s, j.ID).GPUs
 		}
 	}
 	return s

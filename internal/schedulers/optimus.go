@@ -185,16 +185,3 @@ func (o *Optimus) Decide(trigger simulator.Trigger, view *simulator.View) *clust
 	}
 	return s
 }
-
-// Forget drops the fitting history of completed jobs (bounded memory).
-func (o *Optimus) Forget(view *simulator.View) {
-	alive := make(map[cluster.JobID]bool, len(view.Jobs))
-	for _, j := range view.Jobs {
-		alive[j.ID] = true
-	}
-	for id := range o.hist {
-		if !alive[id] {
-			delete(o.hist, id)
-		}
-	}
-}

@@ -8,6 +8,17 @@ import (
 	"repro/internal/workload"
 )
 
+// alloc returns job j's digest entry in s, or the zero entry (no GPUs)
+// when j is not running.
+func alloc(s *cluster.Schedule, j cluster.JobID) cluster.Alloc {
+	var d cluster.Digest
+	d.Load(s)
+	if a, ok := d.Lookup(j); ok {
+		return *a
+	}
+	return cluster.Alloc{Job: j}
+}
+
 func testTrace(t testing.TB, n int, seed int64) (*workload.Trace, workload.Config) {
 	t.Helper()
 	cfg := workload.Config{Seed: seed, NumJobs: n, MeanInterarrival: 25, MaxReqGPUs: 4}
@@ -117,10 +128,10 @@ func TestPlaceGangRespectsCapacity(t *testing.T) {
 	if placeGang(s, 2, 1, 64) {
 		t.Error("placement on full cluster succeeded")
 	}
-	if got := s.GlobalBatch(1); got != 256 {
+	if got := alloc(s, 1).Batch; got != 256 {
 		t.Errorf("global batch %d, want 256", got)
 	}
-	if got := s.GPUCount(1); got != 4 {
+	if got := alloc(s, 1).GPUs; got != 4 {
 		t.Errorf("gpus %d, want 4", got)
 	}
 }
