@@ -52,7 +52,7 @@ func (info *JobInfo) effLimit() int {
 // Context carries the live cluster state into one evolution iteration.
 //
 // A Context also owns two lazily built caches — the sorted job-ID order
-// and the throughput memo — that one iteration's concurrent sub-contexts
+// and the throughput memo — that one iteration's concurrent workers
 // share. Both assume the Jobs set, the Topo and the Throughput function
 // stay fixed for the Context's lifetime; the ONES scheduler guarantees
 // this by building a fresh Context for every scheduling decision, which
@@ -70,7 +70,9 @@ type Context struct {
 	// spanning `servers` servers. It must be pure for the Context's
 	// lifetime: evaluations are memoized per (j, B, c, servers).
 	Throughput func(j cluster.JobID, B, c, servers int) float64
-	Rng        *rand.Rand
+	// Rng is the master RNG: progress draws and Iterate's task plans.
+	// Operators draw from their worker's RNG instead.
+	Rng *rand.Rand
 
 	// MemoHits / MemoMisses, when set, count throughput-memo outcomes
 	// (see internal/obs). Telemetry only: scoring is unaffected, and the
@@ -126,13 +128,10 @@ func (ctx *Context) throughput(j cluster.JobID, B, c, servers int) float64 {
 	return x
 }
 
-// prepare builds the shared caches on the master Context before a
-// fan-out. Sub-contexts are struct copies, so they inherit the filled
-// pointers and all workers share one ID slice and one memo.
+// prepare builds the shared caches before a fan-out, so concurrent
+// workers only ever read the ID order and go through the memo's lock.
 func (ctx *Context) prepare() {
-	if ctx.ids == nil {
-		ctx.ids = sortIDs(ctx.Jobs)
-	}
+	ctx.jobIDs()
 	if ctx.memo == nil {
 		ctx.memo = &throughputMemo{m: make(map[throughputKey]float64, 8*len(ctx.Jobs))}
 	}
@@ -143,18 +142,14 @@ func (ctx *Context) prepare() {
 // once per Context (Jobs must not change within its lifetime).
 func (ctx *Context) jobIDs() []cluster.JobID {
 	if ctx.ids == nil {
-		ctx.ids = sortIDs(ctx.Jobs)
+		ids := make([]cluster.JobID, 0, len(ctx.Jobs))
+		for id := range ctx.Jobs {
+			ids = append(ids, id)
+		}
+		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		ctx.ids = ids
 	}
 	return ctx.ids
-}
-
-func sortIDs(jobs map[cluster.JobID]*JobInfo) []cluster.JobID {
-	ids := make([]cluster.JobID, 0, len(jobs))
-	for id := range jobs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // SampleRhos draws one progress sample per alive job (Algorithm 1,
@@ -178,16 +173,14 @@ func remainingWork(info *JobInfo, rho float64) float64 {
 	return processed * (1/rho - 1)
 }
 
-// evalScratch holds the reusable buffers for generating and scoring one
-// candidate: the schedule digest the operators and Score read instead of
-// scanning the genome once per job, and fill's per-assignment GPU list.
-type evalScratch struct {
+// worker is the working state of one fan-out goroutine: the schedule
+// digest the operators, Reorder and Score read instead of scanning the
+// genome once per job, fill's per-assignment GPU list, and the RNG the
+// operators draw from, re-seeded for every task.
+type worker struct {
 	d   cluster.Digest
 	buf []cluster.GPUID
-}
-
-var scratchPool = sync.Pool{
-	New: func() any { return new(evalScratch) },
+	rng *rand.Rand
 }
 
 // Score computes the SRUF objective of Equation 8 for schedule s:
@@ -202,14 +195,14 @@ var scratchPool = sync.Pool{
 // scaled by totalGPUs/usedGPUs — a half-used cluster carries twice the
 // remaining utilization per allocated GPU. Without this, the objective
 // would reward starving jobs of GPUs they could productively use.
-func Score(s *cluster.Schedule, ctx *Context, rhos map[cluster.JobID]float64) float64 {
-	sc := scratchPool.Get().(*evalScratch)
-	defer scratchPool.Put(sc)
-	sc.d.Load(s)
+//
+// d is working storage and is overwritten.
+func Score(s *cluster.Schedule, ctx *Context, rhos map[cluster.JobID]float64, d *cluster.Digest) float64 {
+	d.Load(s)
 	var total float64
 	used := 0
-	for i := range sc.d.Jobs {
-		a := &sc.d.Jobs[i]
+	for i := range d.Jobs {
+		a := &d.Jobs[i]
 		info, ok := ctx.Jobs[a.Job]
 		if !ok {
 			continue // completed job still in genome; refresh will clean it
@@ -263,10 +256,10 @@ func assign(s *cluster.Schedule, info *JobInfo, gpus []cluster.GPUID, B int) int
 // step 2) and its batch reassigned within the limit. The digest is
 // loaded once up front: each job's correction touches only its own slots,
 // so the other entries stay valid as the loop mutates s.
-func normalize(s *cluster.Schedule, ctx *Context, sc *evalScratch) {
-	sc.d.Load(s)
-	for i := range sc.d.Jobs {
-		a := &sc.d.Jobs[i]
+func normalize(s *cluster.Schedule, ctx *Context, d *cluster.Digest) {
+	d.Load(s)
+	for i := range d.Jobs {
+		a := &d.Jobs[i]
 		info, ok := ctx.Jobs[a.Job]
 		if !ok {
 			s.Evict(a.Job)
@@ -320,24 +313,24 @@ type fillOption struct {
 // The idle list is computed once and consumed incrementally: assign clamps
 // B ≥ c, so every idle GPU an option consumes receives a positive batch
 // and the remaining idle set is exactly the unconsumed suffix.
-func fill(s *cluster.Schedule, ctx *Context, sc *evalScratch) {
-	sc.d.Load(s)
-	idle := sc.d.Idle
+func fill(s *cluster.Schedule, ctx *Context, w *worker) {
+	w.d.Load(s)
+	idle := w.d.Idle
 	for len(idle) > 0 {
-		opt, ok := bestFillOption(ctx, &sc.d, len(idle))
+		opt, ok := bestFillOption(ctx, w, len(idle))
 		if !ok {
 			return
 		}
 		// The job's current GPUs (index order) followed by the consumed
 		// idle prefix.
-		sc.buf = sc.buf[:0]
-		if a, ok := sc.d.Lookup(opt.job); ok {
-			sc.buf = append(sc.buf, a.GPUIDs...)
+		w.buf = w.buf[:0]
+		if a, ok := w.d.Lookup(opt.job); ok {
+			w.buf = append(w.buf, a.GPUIDs...)
 		}
-		sc.buf = append(sc.buf, idle[:opt.gpus]...)
-		assign(s, ctx.Jobs[opt.job], sc.buf, opt.batch)
+		w.buf = append(w.buf, idle[:opt.gpus]...)
+		assign(s, ctx.Jobs[opt.job], w.buf, opt.batch)
 		// Refresh the job's entry in place; no other job's slots moved.
-		sc.d.Update(s, opt.job)
+		w.d.Update(s, opt.job)
 		idle = idle[opt.gpus:]
 	}
 }
@@ -345,16 +338,16 @@ func fill(s *cluster.Schedule, ctx *Context, sc *evalScratch) {
 // bestFillOption returns the next fill action: the waiting job with the
 // least sampled remaining work if any can start, else the growth with the
 // largest sampled gain.
-func bestFillOption(ctx *Context, d *cluster.Digest, idle int) (fillOption, bool) {
+func bestFillOption(ctx *Context, w *worker, idle int) (fillOption, bool) {
 	var bestResume, bestGrow fillOption
 	var haveResume, haveGrow bool
 	for _, id := range ctx.jobIDs() {
 		info := ctx.Jobs[id]
-		opt, ok := expandOption(ctx, d, info, idle)
+		opt, ok := expandOption(ctx, &w.d, info, idle)
 		if !ok {
 			continue
 		}
-		rho := info.Dist.Sample(ctx.Rng)
+		rho := info.Dist.Sample(w.rng)
 		work := remainingWork(info, rho)
 		if opt.resume {
 			opt.score *= work // remaining seconds at the resume rate
@@ -430,27 +423,13 @@ func expandOption(ctx *Context, d *cluster.Digest, info *JobInfo, idle int) (fil
 	return fillOption{job: info.ID, gpus: extra, batch: newB, score: gain}, true
 }
 
-// cloneFunc produces the working copy an operator mutates. The engine
-// substitutes a pool-backed clone that recycles retired candidates.
-type cloneFunc func(*cluster.Schedule) *cluster.Schedule
-
-func cloneSchedule(s *cluster.Schedule) *cluster.Schedule { return s.Clone() }
-
-// Refresh applies the paper's refresh operation to a clone of s: clean up
+// refresh applies the paper's refresh operation to s in place: clean up
 // completed jobs, enforce limits, allocate new jobs preferentially (taking
 // GPUs from the longest-running jobs if needed), then fill idle GPUs.
-func Refresh(s *cluster.Schedule, ctx *Context) *cluster.Schedule {
-	sc := scratchPool.Get().(*evalScratch)
-	defer scratchPool.Put(sc)
-	return refreshWith(s, ctx, cloneSchedule, sc)
-}
-
-func refreshWith(s *cluster.Schedule, ctx *Context, clone cloneFunc, sc *evalScratch) *cluster.Schedule {
-	out := clone(s)
-	normalize(out, ctx, sc)
-	allocateNewJobs(out, ctx, &sc.d)
-	fill(out, ctx, sc)
-	return out
+func refresh(s *cluster.Schedule, ctx *Context, w *worker) {
+	normalize(s, ctx, &w.d)
+	allocateNewJobs(s, ctx, &w.d)
+	fill(s, ctx, w)
 }
 
 // allocateNewJobs gives each never-scheduled job one GPU (refresh step 3).
@@ -521,54 +500,37 @@ func shrinkByOne(s *cluster.Schedule, ctx *Context, a *cluster.Alloc) {
 	assign(s, ctx.Jobs[a.Job], keep, newB)
 }
 
-// Crossover performs the uniform crossover of Figure 8 on clones of the
-// parents: on each GPU, one child inherits parent A's gene and the other
-// parent B's, with the orientation chosen by an independent fair coin.
-// Children are normalized and filled so they remain feasible.
-func Crossover(a, b *cluster.Schedule, ctx *Context) (*cluster.Schedule, *cluster.Schedule) {
-	sc := scratchPool.Get().(*evalScratch)
-	defer scratchPool.Put(sc)
-	return crossoverWith(a, b, ctx, cloneSchedule, sc)
-}
-
-func crossoverWith(a, b *cluster.Schedule, ctx *Context, clone cloneFunc, sc *evalScratch) (*cluster.Schedule, *cluster.Schedule) {
-	c1, c2 := clone(a), clone(b)
-	for g := 0; g < c1.NumGPUs(); g++ {
-		if ctx.Rng.Intn(2) == 0 {
+// crossover performs the uniform crossover of Figure 8 on copies of the
+// two parents: on each GPU an independent fair coin decides whether the
+// children swap genes. Children are normalized and filled so they remain
+// feasible.
+func crossover(c1, c2 *cluster.Schedule, ctx *Context, w *worker) {
+	for g := cluster.GPUID(0); int(g) < c1.NumGPUs(); g++ {
+		if w.rng.Intn(2) == 0 {
 			continue
 		}
-		ga := a.Slot(cluster.GPUID(g))
-		gb := b.Slot(cluster.GPUID(g))
-		c1.SetSlot(cluster.GPUID(g), gb.Job, gb.Batch)
-		c2.SetSlot(cluster.GPUID(g), ga.Job, ga.Batch)
+		ga, gb := c1.Slot(g), c2.Slot(g)
+		c1.SetSlot(g, gb.Job, gb.Batch)
+		c2.SetSlot(g, ga.Job, ga.Batch)
 	}
-	normalize(c1, ctx, sc)
-	normalize(c2, ctx, sc)
-	fill(c1, ctx, sc)
-	fill(c2, ctx, sc)
-	return c1, c2
+	normalize(c1, ctx, &w.d)
+	normalize(c2, ctx, &w.d)
+	fill(c1, ctx, w)
+	fill(c2, ctx, w)
 }
 
-// Mutate applies the uniform mutation of Figure 9 to a clone of s: every
+// mutate applies the uniform mutation of Figure 9 to s in place: every
 // running job is preempted with probability theta and the freed GPUs are
 // refilled with waiting or other running jobs.
-func Mutate(s *cluster.Schedule, ctx *Context, theta float64) *cluster.Schedule {
-	sc := scratchPool.Get().(*evalScratch)
-	defer scratchPool.Put(sc)
-	return mutateWith(s, ctx, theta, cloneSchedule, sc)
-}
-
-func mutateWith(s *cluster.Schedule, ctx *Context, theta float64, clone cloneFunc, sc *evalScratch) *cluster.Schedule {
-	out := clone(s)
-	sc.d.Load(out)
-	for i := range sc.d.Jobs {
-		if ctx.Rng.Float64() < theta {
-			out.Evict(sc.d.Jobs[i].Job)
+func mutate(s *cluster.Schedule, ctx *Context, theta float64, w *worker) {
+	w.d.Load(s)
+	for i := range w.d.Jobs {
+		if w.rng.Float64() < theta {
+			s.Evict(w.d.Jobs[i].Job)
 		}
 	}
-	normalize(out, ctx, sc)
-	fill(out, ctx, sc)
-	return out
+	normalize(s, ctx, &w.d)
+	fill(s, ctx, w)
 }
 
 // Engine runs the iterative evolution loop of Figure 5.
@@ -606,15 +568,18 @@ type Engine struct {
 
 	pop []*cluster.Schedule
 
-	// Per-Iterate working storage, reused across rounds.
-	tasks  []genTask
-	cands  []*cluster.Schedule
-	scores []float64
-	order  []int
+	// Per-Iterate working storage, reused across rounds: one worker per
+	// fan-out goroutine, then the task, candidate and ranking buffers.
+	workers []*worker
+	tasks   []genTask
+	cands   []*cluster.Schedule
+	scores  []float64
+	order   []int
 	// clonePool recycles the genomes of candidates that lost selection as
 	// the backing storage for the next round's clones. Only rejected
 	// candidates enter the pool: the selected population — including the
 	// returned champion — may be retained by callers and is never reused.
+	// Without it BenchmarkIterate allocates 137 times per round, not 41.
 	clonePool sync.Pool
 }
 
@@ -628,13 +593,6 @@ type genTask struct {
 	seed int64
 	outA int // candidate slot(s)
 	outB int
-}
-
-// rngPool recycles the per-task *rand.Rand. Seed fully resets the source
-// state, so a recycled generator re-seeded with t.seed yields exactly the
-// stream rand.New(rand.NewSource(t.seed)) would.
-var rngPool = sync.Pool{
-	New: func() any { return rand.New(rand.NewSource(0)) },
 }
 
 // cancelled reports whether the optional cancellation probe fired.
@@ -656,9 +614,13 @@ func (e *Engine) Population() []*cluster.Schedule { return e.pop }
 // draws random progress samples, the initial population is diverse even
 // though every member starts from the empty genome.
 func (e *Engine) Init(ctx *Context) {
+	// The initial refreshes draw from the master RNG in sequence.
+	w := &worker{rng: ctx.Rng}
 	e.pop = e.pop[:0]
 	for i := 0; i < e.K; i++ {
-		e.pop = append(e.pop, Refresh(cluster.NewSchedule(ctx.Topo), ctx))
+		s := cluster.NewSchedule(ctx.Topo)
+		refresh(s, ctx, w)
+		e.pop = append(e.pop, s)
 	}
 }
 
@@ -712,32 +674,30 @@ func (e *Engine) Iterate(ctx *Context) *cluster.Schedule {
 		e.cands = make([]*cluster.Schedule, nCand)
 	}
 	candidates := e.cands[:nCand]
-	clone := e.clone
-	runTask := func(t genTask) {
-		rng := rngPool.Get().(*rand.Rand)
-		rng.Seed(t.seed)
-		sc := scratchPool.Get().(*evalScratch)
-		sub := *ctx
-		sub.Rng = rng
+	e.forEach(len(tasks), func(w *worker, i int) {
+		t := tasks[i]
+		// Seed fully resets the source, so the task draws exactly the
+		// stream rand.New(rand.NewSource(t.seed)) would.
+		w.rng.Seed(t.seed)
+		a := e.clone(t.a)
+		candidates[t.outA] = a
 		switch t.kind {
 		case 0:
-			candidates[t.outA] = refreshWith(t.a, &sub, clone, sc)
+			refresh(a, ctx, w)
 		case 1:
-			c1, c2 := crossoverWith(t.a, t.b, &sub, clone, sc)
-			candidates[t.outA], candidates[t.outB] = c1, c2
+			b := e.clone(t.b)
+			candidates[t.outB] = b
+			crossover(a, b, ctx, w)
 		default:
-			candidates[t.outA] = mutateWith(t.a, &sub, e.Theta, clone, sc)
+			mutate(a, ctx, e.Theta, w)
 		}
 		if !e.DisableReorder {
-			candidates[t.outA].Reorder(&sc.d)
+			a.Reorder(&w.d)
 			if t.kind == 1 {
-				candidates[t.outB].Reorder(&sc.d)
+				candidates[t.outB].Reorder(&w.d)
 			}
 		}
-		scratchPool.Put(sc)
-		rngPool.Put(rng)
-	}
-	e.forEach(len(tasks), func(i int) { runTask(tasks[i]) })
+	})
 	if e.cancelled() {
 		// The probe is monotonic, so firing here proves some workers may
 		// have skipped tasks: candidate slots can be stale and must not be
@@ -752,7 +712,7 @@ func (e *Engine) Iterate(ctx *Context) *cluster.Schedule {
 		e.scores = make([]float64, nCand)
 	}
 	scores := e.scores[:nCand]
-	e.forEach(nCand, func(i int) { scores[i] = Score(candidates[i], ctx, rhos) })
+	e.forEach(nCand, func(w *worker, i int) { scores[i] = Score(candidates[i], ctx, rhos, &w.d) })
 	if e.cancelled() {
 		return e.pop[0]
 	}
@@ -781,26 +741,33 @@ func (e *Engine) Iterate(ctx *Context) *cluster.Schedule {
 	return e.pop[0]
 }
 
-// forEach runs fn over [0, n) — serially, or on Parallelism goroutines.
-// The optional Cancel probe is polled before each call; tasks after it
-// fires are skipped (callers must not consume their outputs).
-func (e *Engine) forEach(n int, fn func(i int)) {
-	if e.Parallelism <= 1 || n < 2 {
+// forEach runs fn over [0, n) — serially, or on Parallelism goroutines,
+// each handing fn its own worker. The optional Cancel probe is polled
+// before each call; tasks after it fires are skipped (callers must not
+// consume their outputs).
+func (e *Engine) forEach(n int, fn func(w *worker, i int)) {
+	goroutines := e.Parallelism
+	if goroutines > n {
+		goroutines = n
+	}
+	if goroutines < 1 {
+		goroutines = 1
+	}
+	for len(e.workers) < goroutines {
+		e.workers = append(e.workers, &worker{rng: rand.New(rand.NewSource(0))})
+	}
+	if goroutines == 1 {
 		for i := 0; i < n; i++ {
 			if e.cancelled() {
 				return
 			}
-			fn(i)
+			fn(e.workers[0], i)
 		}
 		return
 	}
-	workers := e.Parallelism
-	if workers > n {
-		workers = n
-	}
 	var wg sync.WaitGroup
 	var next int64
-	for w := 0; w < workers; w++ {
+	for _, w := range e.workers[:goroutines] {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -812,7 +779,7 @@ func (e *Engine) forEach(n int, fn func(i int)) {
 				if i >= n {
 					return
 				}
-				fn(i)
+				fn(w, i)
 			}
 		}()
 	}
@@ -836,21 +803,4 @@ func (e *Engine) progressDraws(ctx *Context) map[cluster.JobID]float64 {
 		rhos[id] = m
 	}
 	return rhos
-}
-
-// Best returns the current champion (lowest sampled score) without
-// evolving, or nil for an empty population.
-func (e *Engine) Best(ctx *Context) *cluster.Schedule {
-	if len(e.pop) == 0 {
-		return nil
-	}
-	rhos := e.progressDraws(ctx)
-	best := e.pop[0]
-	bestScore := Score(best, ctx, rhos)
-	for _, s := range e.pop[1:] {
-		if sc := Score(s, ctx, rhos); sc < bestScore {
-			best, bestScore = s, sc
-		}
-	}
-	return best
 }

@@ -41,6 +41,31 @@ func testCtx(seed int64, n int, topo cluster.Topology) *Context {
 	}
 }
 
+// op applies the in-place operators the way Iterate does — to fresh
+// copies of the parents — drawing from ctx.Rng, so a test keeps its
+// parents and its seed fixes the outcome.
+var op ops
+
+type ops struct{}
+
+func (ops) refresh(s *cluster.Schedule, ctx *Context) *cluster.Schedule {
+	c := s.Clone()
+	refresh(c, ctx, &worker{rng: ctx.Rng})
+	return c
+}
+
+func (ops) crossover(a, b *cluster.Schedule, ctx *Context) (*cluster.Schedule, *cluster.Schedule) {
+	c1, c2 := a.Clone(), b.Clone()
+	crossover(c1, c2, ctx, &worker{rng: ctx.Rng})
+	return c1, c2
+}
+
+func (ops) mutate(s *cluster.Schedule, ctx *Context, theta float64) *cluster.Schedule {
+	c := s.Clone()
+	mutate(c, ctx, theta, &worker{rng: ctx.Rng})
+	return c
+}
+
 // digest returns a fresh digest of s.
 func digest(s *cluster.Schedule) *cluster.Digest {
 	d := new(cluster.Digest)
@@ -82,7 +107,7 @@ func validateLimits(t *testing.T, s *cluster.Schedule, ctx *Context) {
 func TestRefreshFillsEmptyCluster(t *testing.T) {
 	topo := cluster.Uniform(2, 4)
 	ctx := testCtx(1, 6, topo)
-	s := Refresh(cluster.NewSchedule(topo), ctx)
+	s := op.refresh(cluster.NewSchedule(topo), ctx)
 	validateLimits(t, s, ctx)
 	if s.NumIdle() != 0 {
 		t.Errorf("refresh left %d idle GPUs with 6 hungry jobs", s.NumIdle())
@@ -98,7 +123,7 @@ func TestRefreshRemovesCompletedJobs(t *testing.T) {
 	s := cluster.NewSchedule(topo)
 	s.SetSlot(0, 99, 128) // job 99 is not alive
 	s.SetSlot(1, 0, 128)
-	out := Refresh(s, ctx)
+	out := op.refresh(s, ctx)
 	if out.IsRunning(99) {
 		t.Error("completed job survived refresh")
 	}
@@ -114,7 +139,7 @@ func TestRefreshEnforcesLimit(t *testing.T) {
 	for g := 0; g < 4; g++ {
 		s.SetSlot(cluster.GPUID(g), 0, 256)
 	}
-	out := Refresh(s, ctx)
+	out := op.refresh(s, ctx)
 	validateLimits(t, out, ctx)
 	if B := alloc(out, 0).Batch; B > 256 {
 		t.Errorf("limit not enforced: B = %d", B)
@@ -132,7 +157,7 @@ func TestRefreshAllocatesNewJobsOnFullCluster(t *testing.T) {
 	for g := 0; g < 4; g++ {
 		s.SetSlot(cluster.GPUID(g), cluster.JobID(g), 256)
 	}
-	out := Refresh(s, ctx)
+	out := op.refresh(s, ctx)
 	validateLimits(t, out, ctx)
 	if !out.IsRunning(4) {
 		t.Error("new job not allocated despite preferential policy")
@@ -153,7 +178,7 @@ func TestRefreshTakesFromLongestRunningJob(t *testing.T) {
 	for g := 0; g < 4; g++ {
 		s.SetSlot(cluster.GPUID(g), cluster.JobID(g), 256)
 	}
-	out := Refresh(s, ctx)
+	out := op.refresh(s, ctx)
 	if out.IsRunning(2) && alloc(out, 2).GPUs >= 1 && !out.IsRunning(4) {
 		t.Error("new job should displace the longest-running job")
 	}
@@ -162,8 +187,8 @@ func TestRefreshTakesFromLongestRunningJob(t *testing.T) {
 func TestCrossoverIdenticalParentsYieldIdenticalChildren(t *testing.T) {
 	topo := cluster.Uniform(1, 4)
 	ctx := testCtx(6, 4, topo)
-	parent := Refresh(cluster.NewSchedule(topo), ctx)
-	c1, c2 := Crossover(parent, parent, ctx)
+	parent := op.refresh(cluster.NewSchedule(topo), ctx)
+	c1, c2 := op.crossover(parent, parent, ctx)
 	if !c1.Equal(parent) || !c2.Equal(parent) {
 		t.Error("crossover of identical full parents should be a no-op")
 	}
@@ -172,9 +197,9 @@ func TestCrossoverIdenticalParentsYieldIdenticalChildren(t *testing.T) {
 func TestCrossoverChildrenValid(t *testing.T) {
 	topo := cluster.Uniform(2, 4)
 	ctx := testCtx(7, 6, topo)
-	a := Refresh(cluster.NewSchedule(topo), ctx)
-	b := Refresh(cluster.NewSchedule(topo), ctx)
-	c1, c2 := Crossover(a, b, ctx)
+	a := op.refresh(cluster.NewSchedule(topo), ctx)
+	b := op.refresh(cluster.NewSchedule(topo), ctx)
+	c1, c2 := op.crossover(a, b, ctx)
 	validateLimits(t, c1, ctx)
 	validateLimits(t, c2, ctx)
 }
@@ -182,8 +207,8 @@ func TestCrossoverChildrenValid(t *testing.T) {
 func TestMutateThetaOneEvictsAndRefills(t *testing.T) {
 	topo := cluster.Uniform(1, 4)
 	ctx := testCtx(8, 4, topo)
-	s := Refresh(cluster.NewSchedule(topo), ctx)
-	m := Mutate(s, ctx, 1.0)
+	s := op.refresh(cluster.NewSchedule(topo), ctx)
+	m := op.mutate(s, ctx, 1.0)
 	validateLimits(t, m, ctx)
 	if m.NumIdle() != 0 {
 		t.Errorf("mutation left %d idle GPUs with hungry jobs", m.NumIdle())
@@ -193,8 +218,8 @@ func TestMutateThetaOneEvictsAndRefills(t *testing.T) {
 func TestMutateThetaZeroKeepsAssignmentsStable(t *testing.T) {
 	topo := cluster.Uniform(1, 4)
 	ctx := testCtx(9, 4, topo)
-	s := Refresh(cluster.NewSchedule(topo), ctx)
-	m := Mutate(s, ctx, 0)
+	s := op.refresh(cluster.NewSchedule(topo), ctx)
+	m := op.mutate(s, ctx, 0)
 	// With θ=0 no eviction happens; normalize/fill of an already feasible
 	// full schedule must not change job placement.
 	for _, a := range digest(s).Jobs {
@@ -208,7 +233,7 @@ func TestScoreEmptyScheduleZero(t *testing.T) {
 	topo := cluster.Uniform(1, 2)
 	ctx := testCtx(10, 2, topo)
 	s := cluster.NewSchedule(topo)
-	if got := Score(s, ctx, SampleRhos(ctx)); got != 0 {
+	if got := Score(s, ctx, SampleRhos(ctx), new(cluster.Digest)); got != 0 {
 		t.Errorf("empty schedule score = %v, want 0", got)
 	}
 }
@@ -219,7 +244,7 @@ func TestScoreInfiniteOnZeroThroughput(t *testing.T) {
 	ctx.Throughput = func(cluster.JobID, int, int, int) float64 { return 0 }
 	s := cluster.NewSchedule(topo)
 	s.SetSlot(0, 0, 128)
-	if got := Score(s, ctx, SampleRhos(ctx)); !math.IsInf(got, 1) {
+	if got := Score(s, ctx, SampleRhos(ctx), new(cluster.Digest)); !math.IsInf(got, 1) {
 		t.Errorf("score with zero throughput = %v, want +Inf", got)
 	}
 }
@@ -238,7 +263,7 @@ func TestScorePrefersNearlyDoneJobs(t *testing.T) {
 	s0.SetSlot(0, 0, 256)
 	s1 := cluster.NewSchedule(topo)
 	s1.SetSlot(0, 1, 256)
-	if Score(s0, ctx, rhos) >= Score(s1, ctx, rhos) {
+	if Score(s0, ctx, rhos, new(cluster.Digest)) >= Score(s1, ctx, rhos, new(cluster.Digest)) {
 		t.Error("running the nearly-done job should score lower (SRUF)")
 	}
 }
@@ -300,7 +325,7 @@ func TestEngineImprovesOverRandomRefresh(t *testing.T) {
 	var refreshSum float64
 	const trials = 10
 	for i := 0; i < trials; i++ {
-		refreshSum += Score(Refresh(cluster.NewSchedule(topo), ctx), ctx, meanRhos)
+		refreshSum += Score(op.refresh(cluster.NewSchedule(topo), ctx), ctx, meanRhos, new(cluster.Digest))
 	}
 	refreshMean := refreshSum / trials
 	// Evolution: champion after several iterations.
@@ -309,22 +334,25 @@ func TestEngineImprovesOverRandomRefresh(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		best = e.Iterate(ctx)
 	}
-	champ := Score(best, ctx, meanRhos)
+	champ := Score(best, ctx, meanRhos, new(cluster.Digest))
 	if champ > refreshMean*1.05 {
 		t.Errorf("evolution champion (%v) should not be worse than mean random refresh (%v)", champ, refreshMean)
 	}
 }
 
-func TestEngineBestWithoutIterate(t *testing.T) {
+func TestEngineInitWithoutIterate(t *testing.T) {
 	topo := cluster.Uniform(1, 2)
 	ctx := testCtx(16, 3, topo)
 	e := NewEngine(4, 0.2)
-	if e.Best(ctx) != nil {
-		t.Error("Best on empty population should be nil")
+	if len(e.Population()) != 0 {
+		t.Error("population before Init should be empty")
 	}
 	e.Init(ctx)
-	if e.Best(ctx) == nil {
-		t.Error("Best after Init should not be nil")
+	if len(e.Population()) != 4 {
+		t.Fatalf("population after Init has %d genomes, want 4", len(e.Population()))
+	}
+	for _, s := range e.Population() {
+		validateLimits(t, s, ctx)
 	}
 }
 
@@ -343,7 +371,7 @@ func TestRefreshInvariantsProperty(t *testing.T) {
 		n := int(nJobs)%12 + 1
 		topo := cluster.Uniform(2, 4)
 		ctx := testCtx(seed, n, topo)
-		s := Refresh(cluster.NewSchedule(topo), ctx)
+		s := op.refresh(cluster.NewSchedule(topo), ctx)
 		if s.Validate() != nil {
 			return false
 		}
@@ -391,7 +419,7 @@ func TestEngineChampionInvariantsProperty(t *testing.T) {
 // genome, the whole population and every sampled score must be
 // byte-identical — the fan-out must never change a result, only wall
 // time. Run under -race this also exercises the shared throughput memo
-// and the scratch/RNG pools from concurrent workers.
+// and the per-goroutine workers (digest, GPU buffer, re-seeded RNG).
 func TestEngineParallelMatchesSerial(t *testing.T) {
 	run := func(parallelism int) string {
 		topo := cluster.Uniform(2, 4)
@@ -409,7 +437,7 @@ func TestEngineParallelMatchesSerial(t *testing.T) {
 		rhos := SampleRhos(ctx)
 		out := "champion=" + best.String() + "\n"
 		for i, s := range e.Population() {
-			out += fmt.Sprintf("pop[%d] score=%v genome=%s\n", i, Score(s, ctx, rhos), s)
+			out += fmt.Sprintf("pop[%d] score=%v genome=%s\n", i, Score(s, ctx, rhos, new(cluster.Digest)), s)
 		}
 		return out
 	}
@@ -437,19 +465,19 @@ func TestScoreMemoMatchesRecompute(t *testing.T) {
 	// nil ⇒ every Score recomputes from scratch.
 	plain := &Context{Topo: ctx.Topo, Jobs: ctx.Jobs, Throughput: ctx.Throughput}
 	pop := []*cluster.Schedule{
-		Refresh(cluster.NewSchedule(topo), ctx),
-		Refresh(cluster.NewSchedule(topo), ctx),
+		op.refresh(cluster.NewSchedule(topo), ctx),
+		op.refresh(cluster.NewSchedule(topo), ctx),
 	}
 	for i := 0; i < 1000; i++ {
 		var cand *cluster.Schedule
 		if i%2 == 0 {
-			cand = Mutate(pop[i/2%2], ctx, 0.3)
+			cand = op.mutate(pop[i/2%2], ctx, 0.3)
 		} else {
-			cand, _ = Crossover(pop[0], pop[1], ctx)
+			cand, _ = op.crossover(pop[0], pop[1], ctx)
 		}
 		rhos := SampleRhos(ctx)
-		memoized := Score(cand, ctx, rhos)
-		direct := Score(cand, plain, rhos)
+		memoized := Score(cand, ctx, rhos, new(cluster.Digest))
+		direct := Score(cand, plain, rhos, new(cluster.Digest))
 		if memoized != direct {
 			t.Fatalf("step %d: memoized score %v != recomputed %v", i, memoized, direct)
 		}

@@ -22,17 +22,6 @@ func waitingJobs(view *simulator.View) []simulator.JobView {
 	return out
 }
 
-// runningJobs returns the alive jobs holding GPUs, ascending ID.
-func runningJobs(view *simulator.View) []simulator.JobView {
-	var out []simulator.JobView
-	for _, j := range view.Jobs {
-		if j.Running {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
 // placeGang assigns `gpus` idle GPUs to the job with an even split of
 // `batch`, preferring contiguous placement (lowest-index idle GPUs, which
 // the reorder convention keeps packed). Returns false without modifying s

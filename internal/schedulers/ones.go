@@ -62,12 +62,8 @@ type ONES struct {
 	arrivalRate float64
 	cancelled   func() bool
 
-	jobs map[cluster.JobID]*onesJob
-	// lastDeployEpochs snapshots each running job's epoch count at the
-	// last deployment: the paper deploys a new champion only after every
-	// running job finishes at least one more epoch.
-	lastDeployEpochs map[cluster.JobID]float64
-	deployed         bool
+	jobs     map[cluster.JobID]*onesJob
+	deployed bool
 
 	// Stats counts decision outcomes for reporting and debugging.
 	Stats ONESStats
@@ -89,8 +85,12 @@ type onesJob struct {
 	seenEpochs float64
 	logs       []predictor.Sample
 	logSamples []int64 // processed counter at each log point
-	lastSeen   simulator.JobView
-	wasWaiting bool // waiting at the previous deployment (Resume policy)
+	processed  int64   // processed counter at the latest view
+	wasWaiting bool    // waiting at the previous deployment (Resume policy)
+	// deployEpochs snapshots the job's epoch count at the last deployment
+	// that ran it (−1 before any): the paper deploys a new champion only
+	// after every running job finishes at least one more epoch.
+	deployEpochs float64
 }
 
 // NewONES builds the scheduler. arrivalRate (λ) tunes the scale-down
@@ -112,7 +112,6 @@ func NewONES(seed int64, arrivalRate float64) *ONES {
 		limiter:               scaling.NewLimiter(arrivalRate),
 		rng:                   rand.New(rand.NewSource(seed)),
 		jobs:                  make(map[cluster.JobID]*onesJob),
-		lastDeployEpochs:      make(map[cluster.JobID]float64),
 	}
 }
 
@@ -215,24 +214,24 @@ func (o *ONES) Decide(trigger simulator.Trigger, view *simulator.View) *cluster.
 // finalized into the predictor's training set.
 func (o *ONES) ingest(view *simulator.View) {
 	alive := make(map[cluster.JobID]bool, len(view.Jobs))
-	maxGlobal := view.Topo.TotalGPUs() * 1 // refined per job below
 	for _, j := range view.Jobs {
 		alive[j.ID] = true
 		st, ok := o.jobs[j.ID]
 		if !ok {
 			st = &onesJob{
-				limit:      o.limiter.Start(j.Task.Profile),
-				startLimit: o.limiter.Start(j.Task.Profile),
+				limit:        o.limiter.Start(j.Task.Profile),
+				startLimit:   o.limiter.Start(j.Task.Profile),
+				deployEpochs: -1,
 			}
 			o.jobs[j.ID] = st
 		}
 		// Epoch crossings since last view.
 		newEpochs := math.Floor(j.WallEpochs)
 		for e := math.Floor(st.seenEpochs) + 1; e <= newEpochs; e++ {
-			o.onEpochEnd(&j, st, view.Topo, maxGlobal)
+			o.onEpochEnd(&j, st, view.Topo)
 		}
 		st.seenEpochs = j.WallEpochs
-		st.lastSeen = j
+		st.processed = j.Processed
 		if j.Running {
 			st.everRan = true
 		}
@@ -244,13 +243,12 @@ func (o *ONES) ingest(view *simulator.View) {
 		}
 		o.finalize(st)
 		delete(o.jobs, id)
-		delete(o.lastDeployEpochs, id)
 	}
 }
 
 // onEpochEnd applies the per-epoch limit update (the §3.3.2 scale-up /
 // scale-down rule) and logs a predictor sample.
-func (o *ONES) onEpochEnd(j *simulator.JobView, st *onesJob, topo cluster.Topology, _ int) {
+func (o *ONES) onEpochEnd(j *simulator.JobView, st *onesJob, topo cluster.Topology) {
 	maxGlobal := topo.TotalGPUs() * j.Task.Profile.MaxPerGPU
 	if j.WallEpochs < o.WarmupEpochs {
 		// Still warming up: hold the start limit.
@@ -287,7 +285,7 @@ func lossRatio(j *simulator.JobView) float64 {
 // finalize labels a completed job's log with true progress and feeds the
 // predictor.
 func (o *ONES) finalize(st *onesJob) {
-	total := st.lastSeen.Processed
+	total := st.processed
 	if total <= 0 || len(st.logs) == 0 {
 		return
 	}
@@ -361,8 +359,8 @@ func (o *ONES) shouldDeploy(trigger simulator.Trigger, view *simulator.View) boo
 		if !j.Running {
 			continue
 		}
-		since, ok := o.lastDeployEpochs[j.ID]
-		if ok && j.WallEpochs < since+1 {
+		// A job no deployment ran yet has deployEpochs −1 and never gates.
+		if j.WallEpochs < o.jobs[j.ID].deployEpochs+1 {
 			return false
 		}
 	}
@@ -383,7 +381,7 @@ func (o *ONES) recordDeployment(view *simulator.View, next *cluster.Schedule) {
 		}
 		st.wasWaiting = !willRun
 		if willRun {
-			o.lastDeployEpochs[j.ID] = j.WallEpochs
+			st.deployEpochs = j.WallEpochs
 		}
 	}
 }

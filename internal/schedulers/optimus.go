@@ -117,10 +117,14 @@ func (o *Optimus) Decide(trigger simulator.Trigger, view *simulator.View) *clust
 	if trigger != simulator.TriggerTick && trigger != simulator.TriggerArrival {
 		return nil
 	}
-	if trigger == simulator.TriggerArrival && len(runningJobs(view)) > 0 {
+	if trigger == simulator.TriggerArrival {
 		// Mid-interval arrivals wait for the next tick — the paper's
 		// critique of periodic schedulers.
-		return nil
+		for i := range view.Jobs {
+			if view.Jobs[i].Running {
+				return nil
+			}
+		}
 	}
 	jobs := append([]simulator.JobView(nil), view.Jobs...)
 	if len(jobs) == 0 {
